@@ -7,16 +7,14 @@
     - {b lost-wakeup} — every [uintr.send] is matched by a
       [uintr.handle] (delivery) or a [uintr.ack] (posted bit drained at
       a privileged entry) within [wakeup_bound] ns;
-    - {b starvation} — no latency-critical thread sits ready in a task
-      queue for more than [starvation_bound] ns without being dispatched;
     - {b gap} — no runnable latency-critical thread goes unscheduled for
       more than [gap_bound] ns, measured from enqueue to the dispatch
-      stamp (unlike starvation, a queue pop alone does not clear it: the
-      thread must actually reach a core). The exact gap is checked at
-      each dispatch; threads never dispatched age out in the scan;
+      stamp (a queue pop alone does not clear it: the thread must
+      actually reach a core). The exact gap is checked at each dispatch;
+      threads never dispatched age out in the scan;
     - {b fifo} — each probed task queue pops in FIFO order, modulo
-      [push_front] and lazy removal (the checker mirrors the queue
-      discipline from push/pop/remove events alone);
+      [push_front] (the checker mirrors the queue discipline from
+      push/pop events alone);
     - {b pkru} — at every call-gate crossing the core's PKRU equals the
       image the crossing installed, and the image restored on leave is
       the one the last dispatch published for that core;
@@ -34,7 +32,6 @@
 
 type config = {
   wakeup_bound : int;
-  starvation_bound : int;
   gap_bound : int;  (** enqueue -> dispatch, ns (the execution-gap bound) *)
   conservation_tol : float;
   max_violations : int;  (** details kept; the total is always counted *)

@@ -1,18 +1,13 @@
-(** A priority queue of timestamped events.
+(** A priority queue of timestamped events, keyed on (time, sequence
+    number) so events at the same simulated time pop in insertion order
+    and the whole simulation stays deterministic.
 
-    Two backends behind one exact-semantics interface, both keyed on
-    (time, sequence number) so events at the same simulated time pop in
-    insertion order and the whole simulation stays deterministic:
-
-    - [Wheel] (default): a 4-level x 256-slot hierarchical timing wheel
-      of simulated-ns buckets fronting an overflow binary heap. Near-
-      horizon events (the vast majority under the cost model's short
-      timer distribution) schedule and expire in O(1); events further
-      than 2^32 ns from the cursor — or scheduled in the past, which the
-      simulation driver forbids but the raw queue permits — overflow to
-      the heap.
-    - [Heap]: the classic binary min-heap, O(log n) per op. Kept as the
-      reference backend for differential tests and benchmarks.
+    A 4-level x 256-slot hierarchical timing wheel of simulated-ns
+    buckets fronts an overflow binary heap. Near-horizon events (the
+    vast majority under the cost model's short timer distribution)
+    schedule and expire in O(1); events further than 2^32 ns from the
+    cursor — or scheduled in the past, which the simulation driver
+    forbids but the raw queue permits — overflow to the heap.
 
     Entry records live in a per-queue free-list pool, so steady-state
     [add]/[cancel]/[drain_before] performs zero minor-heap allocation
@@ -21,21 +16,13 @@
     whose event already popped — even after its pooled entry has been
     reused — is a checked no-op. *)
 
-type backend = Wheel | Heap
-
-val default_backend : backend ref
-(** Backend picked up by [create] when [?backend] is omitted. [Wheel]
-    unless a test or benchmark flips it. *)
-
 type 'a t
 
 type handle
 (** A token for a scheduled event, usable to cancel it. Immediate
     (unboxed) and generation-checked: stale handles are harmless. *)
 
-val create : ?backend:backend -> unit -> 'a t
-
-val backend : 'a t -> backend
+val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 

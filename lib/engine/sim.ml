@@ -37,13 +37,13 @@ let[@inline] flush t =
 let unregistered_handler (_ : int) (_ : int) =
   failwith "Sim: dispatch to unregistered handler tag"
 
-let create ?(seed = 42) ?backend () =
+let create ?(seed = 42) () =
   if !Vessel_obs.Probe.on then
     Vessel_obs.Probe.process ~name:(Printf.sprintf "sim seed=%d" seed);
   let t =
     {
       clock = Time.zero;
-      queue = Event_queue.create ?backend ();
+      queue = Event_queue.create ();
       root_rng = Rng.create ~seed;
       seed;
       executed = 0;

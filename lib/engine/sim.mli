@@ -8,11 +8,9 @@
 
 type t
 
-val create : ?seed:int -> ?backend:Event_queue.backend -> unit -> t
+val create : ?seed:int -> unit -> t
 (** A fresh simulation at time 0. [seed] (default 42) seeds the root RNG
-    from which all component streams are split. [backend] (default
-    {!Event_queue.default_backend}) selects the event-queue engine;
-    both backends produce byte-identical simulations. *)
+    from which all component streams are split. *)
 
 val now : t -> Time.t
 

@@ -17,10 +17,10 @@ type t = {
 let service_ns = 1_000
 
 let run_point ~seed () =
-  (* Capture the probe stream into a bounded ring regardless of --trace,
-     so the printed report is identical with and without a trace file. *)
-  let ring = Obs.Ring.create () in
-  Obs.Probe.with_sink (Obs.Ring.sink ring) @@ fun () ->
+  (* Capture the probe stream into a journal regardless of --trace, so
+     the printed report is identical with and without a trace file. *)
+  let journal = Obs.Journal.create () in
+  Obs.Probe.with_sink (Obs.Journal.sink journal) @@ fun () ->
   let b = Runner.build ~seed ~cores:1 Runner.Caladan in
   let baseline = Option.get b.Runner.baseline in
   let sys = b.Runner.sys in
@@ -54,7 +54,7 @@ let run_point ~seed () =
   sys.S.Sched_intf.stop ();
   let stages = S.Baseline.preempt_stages baseline in
   if !completed = 0 then failwith "Exp_fig3: request never completed";
-  let events = Obs.Ring.to_list ring in
+  let events = Obs.Journal.to_list journal in
   let instant_ts name =
     List.find_map
       (function

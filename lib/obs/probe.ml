@@ -23,28 +23,24 @@ let attrib_on = ref false
 let req_on = ref false
 
 (* [on] is true when a trace file is configured globally or any domain is
-   inside a [with_sink] scope. The scope count is atomic so concurrent
-   scopes on worker domains can't lose each other's enable. *)
+   inside a [with_sink] scope. Every change to these inputs republishes
+   the flags under one lock, so a domain leaving its scope cannot write a
+   stale [false] over the scope another domain has just entered. *)
 let trace_configured = ref false
 let metrics_configured = ref false
-let local_scopes = Atomic.make 0
+let local_scopes = ref 0
+let lock = Mutex.create ()
 
-let recompute () =
-  on := !trace_configured || Atomic.get local_scopes > 0;
-  metrics_on := !metrics_configured || Atomic.get local_scopes > 0;
-  req_on := !on || !attrib_on
+let update change =
+  Mutex.protect lock (fun () ->
+      change ();
+      on := !trace_configured || !local_scopes > 0;
+      metrics_on := !metrics_configured || !local_scopes > 0;
+      req_on := !on || !attrib_on)
 
-let set_trace_configured v =
-  trace_configured := v;
-  recompute ()
-
-let set_metrics_configured v =
-  metrics_configured := v;
-  recompute ()
-
-let set_attrib_configured v =
-  attrib_on := v;
-  req_on := !on || !attrib_on
+let set_trace_configured v = update (fun () -> trace_configured := v)
+let set_metrics_configured v = update (fun () -> metrics_configured := v)
+let set_attrib_configured v = update (fun () -> attrib_on := v)
 
 let install ~sink ~reg =
   let st = state () in
@@ -85,12 +81,10 @@ let with_sink ?reg sink f =
   let saved_reg = st.reg in
   st.sink <- Sink.tee sink saved_sink;
   (match reg with Some _ -> st.reg <- reg | None -> ());
-  Atomic.incr local_scopes;
-  recompute ();
+  update (fun () -> Stdlib.incr local_scopes);
   Fun.protect
     ~finally:(fun () ->
       st.sink <- saved_sink;
       st.reg <- saved_reg;
-      ignore (Atomic.fetch_and_add local_scopes (-1));
-      recompute ())
+      update (fun () -> Stdlib.decr local_scopes))
     f

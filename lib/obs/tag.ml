@@ -12,11 +12,10 @@ let uintr_handle = "uintr.handle"
 let uintr_ack = "uintr.ack"
 let dispatch = "dispatch"
 
-(* task queues (invariant checking: FIFO order, starvation) *)
+(* task queues (invariant checking: FIFO order, execution gaps) *)
 let queue_push = "queue.push"
 let queue_push_front = "queue.push_front"
 let queue_pop = "queue.pop"
-let queue_remove = "queue.remove"
 
 (* call gate crossings (PKRU consistency) *)
 let gate_enter = "gate.enter"

@@ -111,7 +111,7 @@ let on_run t ~core th =
   let ts = tstate t th in
   cs.current <- Some ts;
   cs.started <- now t;
-  (* The dispatch stamp the gap/starvation checker pairs with
+  (* The dispatch stamp the gap checker pairs with
      queue.push; CFS has no PKRU and the checker tolerates its
      absence. *)
   if !Vessel_obs.Probe.on then

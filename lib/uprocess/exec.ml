@@ -52,10 +52,6 @@ type core_state =
       handle : Vessel_engine.Event_queue.handle;
     }
 
-type observation =
-  | Run of { core : int; thread : Uthread.t; at : Vessel_engine.Time.t }
-  | Deschedule of { core : int; thread : Uthread.t; at : Vessel_engine.Time.t }
-
 type t = {
   machine : Hw.Machine.t;
   hooks : hooks;
@@ -63,17 +59,12 @@ type t = {
   (* Incremental occupancy index: idle/BE bits maintained at every
      core-state write so scheduler placement queries are bit scans. *)
   index : Core_index.t option;
-  mutable observer : (observation -> unit) option;
   (* Sim dispatch tags for the two hottest event kinds (segment
      completion and switch landing), registered once in [create] so the
      per-event schedules are closure-free. -1 until registered. *)
   mutable complete_tag : int;
   mutable switch_tag : int;
 }
-
-let set_observer t f = t.observer <- Some f
-
-let observe t obs = match t.observer with Some f -> f obs | None -> ()
 
 let machine t = t.machine
 let sim t = Hw.Machine.sim t.machine
@@ -224,7 +215,6 @@ and land_switch t ~core ~next =
 
 and start_thread t ~core th =
   Uthread.set_state th (Uthread.Running core);
-  observe t (Run { core; thread = th; at = now t });
   t.hooks.on_run ~core th;
   exec_segment t ~core th
 
@@ -233,13 +223,11 @@ and exec_segment t ~core th =
   match action with
   | Uthread.Park ->
       Uthread.set_state th Uthread.Parked;
-      observe t (Deschedule { core; thread = th; at = now t });
       t.hooks.on_descheduled ~core th;
       t.hooks.on_park ~core th;
       free_core t ~core ~kind:Park_switch ~extra:0
   | Uthread.Exit ->
       Uthread.set_state th Uthread.Exited;
-      observe t (Deschedule { core; thread = th; at = now t });
       t.hooks.on_descheduled ~core th;
       t.hooks.on_exit ~core th;
       free_core t ~core ~kind:Exit_switch ~extra:0
@@ -375,7 +363,6 @@ and preempt t ~core ~overhead =
         | None -> ()
       end;
       Uthread.set_state th Uthread.Ready;
-      observe t (Deschedule { core; thread = th; at = now t });
       t.hooks.on_descheduled ~core th;
       t.hooks.on_preempted ~core th;
       free_core t ~core ~kind:Preempt_switch ~extra:overhead
@@ -402,7 +389,6 @@ let create ?index machine hooks =
       hooks;
       states = Array.make (Hw.Machine.ncores machine) Stopped;
       index;
-      observer = None;
       complete_tag = -1;
       switch_tag = -1;
     }

@@ -84,14 +84,4 @@ val stop : t -> core:int -> unit
 (** Halt the core's loop after the current event (used at experiment
     teardown). *)
 
-type observation =
-  | Run of { core : int; thread : Uthread.t; at : Vessel_engine.Time.t }
-  | Deschedule of { core : int; thread : Uthread.t; at : Vessel_engine.Time.t }
-
-val set_observer : t -> (observation -> unit) -> unit
-(** Install a passive occupancy observer (e.g. a {!Vessel_stats.Timeline}
-    recorder) that sees every dispatch and removal, independent of the
-    scheduling policy's own hooks. One observer at a time; installing
-    replaces. *)
-
 val running_threads : t -> Uthread.t list

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Compare a bench JSON record against a committed baseline snapshot.
 
-Reads either schema: vessel-bench-1 (BENCH_4.json: experiments + queue)
-or vessel-bench-5 (BENCH_5.json: the same plus the aggregate "suite"
-row). Prints per-experiment events/sec and per-queue-point ns/op
-deltas, notes improvements, and FAILS (exit 1) on any regression beyond
+Reads the vessel-bench-5 record (BENCH_5.json: experiments, queue
+points and the aggregate "suite" row). Prints per-experiment events/sec
+and per-queue-point ns/op deltas, notes improvements, and FAILS (exit 1) on any regression beyond
 the tolerance. Pass --warn-only to restore the old advisory behaviour
 (always exit 0) for ad-hoc local runs on loaded machines.
 
@@ -126,10 +125,10 @@ def main():
             f"{e['events_per_sec']:>12.0f} {d:>+7.1f}%{flag}"
         )
 
-    # Aggregate suite throughput (vessel-bench-5) — only when both
-    # records aggregate the same experiment set.
-    bs, cs = base.get("suite"), cur.get("suite")
-    if bs and cs and set(base_exp) == cur_names and bs.get("events_per_sec", 0):
+    # Aggregate suite throughput — only when both records aggregate the
+    # same experiment set.
+    bs, cs = base["suite"], cur["suite"]
+    if set(base_exp) == cur_names and bs["events_per_sec"]:
         d = pct(cs["events_per_sec"], bs["events_per_sec"])
         flag = ""
         if d < -args.tolerance:

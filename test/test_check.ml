@@ -68,19 +68,19 @@ let test_fifo_pop_empty_violation () =
   feed c [ qev ~ts:0 Tag.queue_pop 3 ];
   check_bool "pop from empty flagged" true (has_invariant c "fifo")
 
-let test_fifo_push_front_and_remove_clean () =
+let test_fifo_push_front_clean () =
   let c = C.Checker.create () in
   feed c
     [
       qev ~ts:0 Tag.queue_push 1;
       qev ~ts:10 Tag.queue_push 2;
       qev ~ts:20 Tag.queue_push_front 3 (* preempted: jumps the line *);
-      qev ~ts:30 Tag.queue_remove 1 (* killed while queued *);
       qev ~ts:40 Tag.queue_pop 3;
-      qev ~ts:50 Tag.queue_pop 2;
+      qev ~ts:50 Tag.queue_pop 1;
+      qev ~ts:60 Tag.queue_pop 2;
     ];
   C.Checker.finalize c ~elapsed:100;
-  check_bool "push_front + lazy removal is legal" true (C.Checker.clean c)
+  check_bool "push_front jumping the line is legal" true (C.Checker.clean c)
 
 let gate ~ts ~core name ~pkru ~expected =
   instant ~ts ~track:(Track.Core core) name
@@ -111,23 +111,6 @@ let test_pkru_leave_vs_dispatch () =
       gate ~ts:10 ~core:0 Tag.gate_leave ~pkru:0xc ~expected:0xc;
     ];
   check_bool "matching leave is clean" true (C.Checker.clean c2)
-
-let test_starvation_detected_and_cleared () =
-  let c = C.Checker.create () in
-  feed c [ qev ~ts:0 ~lc:1 Tag.queue_push 7 ];
-  C.Checker.finalize c ~elapsed:10_000_000;
-  check_bool "starvation flagged" true (has_invariant c "starvation");
-  (* The same wait is fine once a dispatch picks the thread up. *)
-  let c2 = C.Checker.create () in
-  feed c2
-    [ qev ~ts:0 ~lc:1 Tag.queue_push 7; dispatch ~ts:1_000 ~core:0 ~tid:7 ~pkru:0 ];
-  C.Checker.finalize c2 ~elapsed:10_000_000;
-  check_bool "dispatched thread is clean" true (C.Checker.clean c2);
-  (* Best-effort threads may wait arbitrarily long. *)
-  let c3 = C.Checker.create () in
-  feed c3 [ qev ~ts:0 ~lc:0 Tag.queue_push 8 ];
-  C.Checker.finalize c3 ~elapsed:10_000_000;
-  check_bool "BE wait is not starvation" true (C.Checker.clean c3)
 
 let test_conservation_on_unaccounted_machine () =
   (* A machine whose executor never ran accounts zero cycles: every core
@@ -210,7 +193,7 @@ let test_broken_scheduler_caught () =
   (* Disable both reclamation paths: best-effort preemption never fires
      (delay can't exceed max_int) and wake-time eager preemption is off.
      Linpack then monopolizes every core and ready memcached threads sit
-     queued forever — the starvation invariant must catch it. *)
+     queued forever — the execution-gap invariant must catch it. *)
   let broken =
     {
       S.Vessel.default_params with
@@ -218,17 +201,15 @@ let test_broken_scheduler_caught () =
       eager_preempt = false;
     }
   in
-  let config =
-    { C.Checker.default_config with starvation_bound = 2_000_000 }
-  in
+  let config = { C.Checker.default_config with gap_bound = 2_000_000 } in
   let v =
     C.Harness.run_one ~vessel_params:broken ~config ~seed:8
       ~profile:C.Fault.None_ ~scenario:C.Harness.Fig9_class ()
   in
   check_bool "violations reported" true (v.C.Harness.total_violations > 0);
-  check_bool "starvation named" true
+  check_bool "gap named" true
     (List.exists
-       (fun viol -> viol.C.Checker.invariant = "starvation")
+       (fun viol -> viol.C.Checker.invariant = "gap")
        v.C.Harness.violations);
   (* The identical run with default params is clean (baseline for the
      mutation): the finding is the scheduler change, not the scenario. *)
@@ -250,14 +231,12 @@ let suite =
           test_fifo_pop_order_violation;
         Alcotest.test_case "fifo pop from empty" `Quick
           test_fifo_pop_empty_violation;
-        Alcotest.test_case "push_front + remove legal" `Quick
-          test_fifo_push_front_and_remove_clean;
+        Alcotest.test_case "push_front legal" `Quick
+          test_fifo_push_front_clean;
         Alcotest.test_case "pkru crossing mismatch" `Quick
           test_pkru_crossing_mismatch;
         Alcotest.test_case "pkru leave vs dispatch" `Quick
           test_pkru_leave_vs_dispatch;
-        Alcotest.test_case "starvation" `Quick
-          test_starvation_detected_and_cleared;
         Alcotest.test_case "conservation" `Quick
           test_conservation_on_unaccounted_machine;
         Alcotest.test_case "violation cap" `Quick

@@ -1,14 +1,10 @@
-(* Tests for the section-5.3 semantics: uProcess fork rejection, clone
-   into a second SMAS, and multi-domain scheduling (section 4.1's 13-slot
-   limit worked around by running several domains on disjoint cores). *)
+(* Tests for the section-5.3 semantics: uProcess fork rejection and
+   clone into a second SMAS. *)
 
 module Hw = Vessel_hw
 module Mem = Vessel_mem
 module U = Vessel_uprocess
-module S = Vessel_sched
-module W = Vessel_workloads
 module Sim = Vessel_engine.Sim
-module Stats = Vessel_stats
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -114,99 +110,6 @@ let test_clone_slot_conflict () =
   | Error U.Manager.Domain_full -> ()
   | _ -> Alcotest.fail "clone into an occupied slot must fail"
 
-(* ------------------------------------------------------------------ *)
-(* multi-domain scheduling *)
-
-let test_domains_partition () =
-  let _, machine = mk_machine ~cores:6 () in
-  let d = S.Domains.make ~domains:2 ~machine () in
-  check_int "two domains" 2 (S.Domains.domain_count d);
-  check_int "capacity 26" 26 (S.Domains.capacity d)
-
-let test_domains_place_beyond_13 () =
-  (* 16 apps exceed one domain's 13 slots; two domains absorb them. *)
-  let sim, machine = mk_machine ~cores:4 () in
-  ignore sim;
-  let d = S.Domains.make ~domains:2 ~machine () in
-  let sys = S.Domains.system d in
-  for i = 1 to 16 do
-    sys.S.Sched_intf.add_app
-      {
-        S.Sched_intf.id = i;
-        name = Printf.sprintf "app%d" i;
-        class_ = S.Sched_intf.Latency_critical;
-      }
-  done;
-  (* Balanced placement: 8 apps per domain. *)
-  let in0 = ref 0 and in1 = ref 0 in
-  for i = 1 to 16 do
-    if S.Domains.domain_of_app d ~app_id:i = 0 then incr in0 else incr in1
-  done;
-  check_int "balanced 0" 8 !in0;
-  check_int "balanced 1" 8 !in1
-
-let test_domains_overflow_rejected () =
-  let _, machine = mk_machine ~cores:2 () in
-  let d = S.Domains.make ~domains:1 ~machine () in
-  let sys = S.Domains.system d in
-  for i = 1 to 13 do
-    sys.S.Sched_intf.add_app
-      { S.Sched_intf.id = i; name = Printf.sprintf "a%d" i;
-        class_ = S.Sched_intf.Latency_critical }
-  done;
-  check_bool "14th rejected" true
-    (try
-       sys.S.Sched_intf.add_app
-         { S.Sched_intf.id = 14; name = "a14";
-           class_ = S.Sched_intf.Latency_critical };
-       false
-     with Invalid_argument _ -> true)
-
-let test_domains_serve_in_parallel () =
-  (* Two domains, each with its own memcached, each confined to its own
-     cores: both serve, and the cores of domain 0 never charge app 2. *)
-  let sim, machine = mk_machine ~cores:4 () in
-  let d = S.Domains.make ~domains:2 ~machine () in
-  let sys = S.Domains.system d in
-  let gen1 = W.Memcached.make ~sim ~sys ~app_id:1 ~workers:2 () in
-  let gen2 =
-    W.Synth.make ~sim ~sys ~app_id:2 ~name:"mc2"
-      ~class_:S.Sched_intf.Latency_critical ~workers:2
-      ~service:W.Memcached.service_dist ()
-  in
-  sys.S.Sched_intf.start ();
-  W.Openloop.start gen1 ~rate_rps:500_000. ~until:10_000_000;
-  W.Openloop.start gen2 ~rate_rps:500_000. ~until:10_000_000;
-  Sim.run_until sim 12_000_000;
-  sys.S.Sched_intf.stop ();
-  check_bool "domain 0 served" true (W.Openloop.served gen1 > 4_000);
-  check_bool "domain 1 served" true (W.Openloop.served gen2 > 4_000);
-  (* Core isolation: apps are pinned to their domain's cores. *)
-  let d1 = S.Domains.domain_of_app d ~app_id:1 in
-  let other_cores = if d1 = 0 then [ 2; 3 ] else [ 0; 1 ] in
-  List.iter
-    (fun core ->
-      check_int
-        (Printf.sprintf "core %d never ran app 1" core)
-        0
-        (Stats.Cycle_account.total
-           (Hw.Core.account (Hw.Machine.core machine core))
-           (Stats.Cycle_account.App 1)))
-    other_cores
-
-let test_domains_switch_latencies_merged () =
-  let sim, machine = mk_machine ~cores:2 () in
-  let d = S.Domains.make ~domains:2 ~machine () in
-  let sys = S.Domains.system d in
-  let gen = W.Memcached.make ~sim ~sys ~app_id:1 ~workers:1 () in
-  sys.S.Sched_intf.start ();
-  W.Openloop.start gen ~rate_rps:200_000. ~until:5_000_000;
-  Sim.run_until sim 6_000_000;
-  sys.S.Sched_intf.stop ();
-  match sys.S.Sched_intf.switch_latencies () with
-  | Some h -> check_bool "recorded" true (Stats.Histogram.count h > 0)
-  | None -> Alcotest.fail "expected merged histogram"
-
 let suite =
   [
     ( "domains.clone",
@@ -219,17 +122,5 @@ let suite =
         Alcotest.test_case "spaces diverge after clone" `Quick
           test_clone_isolated_after_sync;
         Alcotest.test_case "clone slot conflict" `Quick test_clone_slot_conflict;
-      ] );
-    ( "domains.multi",
-      [
-        Alcotest.test_case "partition" `Quick test_domains_partition;
-        Alcotest.test_case "16 apps over 2 domains" `Quick
-          test_domains_place_beyond_13;
-        Alcotest.test_case "overflow rejected" `Quick
-          test_domains_overflow_rejected;
-        Alcotest.test_case "parallel service + core isolation" `Quick
-          test_domains_serve_in_parallel;
-        Alcotest.test_case "merged switch latencies" `Quick
-          test_domains_switch_latencies_merged;
       ] );
   ]

@@ -317,10 +317,8 @@ let test_eq_stale_handle_recycled () =
 
 (* Events routed to every wheel level plus the overflow heap must still
    pop in (time, insertion) order, including adds behind the cursor. *)
-let eq_backends = [ ("wheel", Event_queue.Wheel); ("heap", Event_queue.Heap) ]
-
-let test_eq_multi_level backend () =
-  let q = Event_queue.create ~backend () in
+let test_eq_multi_level () =
+  let q = Event_queue.create () in
   let far = (1 lsl 33) + 7 in
   (* level 0 / 1 / 2 / 3 / overflow, interleaved. *)
   let times = [ 20_000_000; 5; 100_000; far; 1_000; 6; far; 100_001 ] in
@@ -383,8 +381,8 @@ let test_eq_zero_alloc () =
    slot. A reentrant add then lands at a lower level, and the scan must
    not return it ahead of the earlier parked event. Found by
    differential fuzzing against the pre-wheel heap queue. *)
-let test_eq_covering_slot_drain backend () =
-  let q = Event_queue.create ~backend () in
+let test_eq_covering_slot_drain () =
+  let q = Event_queue.create () in
   ignore (Event_queue.add q ~time:0x1f8c5 0);
   Alcotest.(check (option (pair int int)))
     "warm-up pop" (Some (0x1f8c5, 0)) (Event_queue.pop q);
@@ -407,8 +405,8 @@ let test_eq_covering_slot_drain backend () =
    of its bucket — a same-time event added while it was cached has a
    higher seq and already sits in that bucket. Found by differential
    fuzzing against the pre-wheel heap queue. *)
-let test_eq_demoted_front_fifo backend () =
-  let q = Event_queue.create ~backend () in
+let test_eq_demoted_front_fifo () =
+  let q = Event_queue.create () in
   let t = 0x19eae in
   ignore (Event_queue.add q ~time:t 0);
   (* same time, higher seq: goes to the bucket while 0 is the front *)
@@ -431,8 +429,8 @@ let test_eq_demoted_front_fifo backend () =
 
 (* Model-based test: random add/cancel/pop/pop_if_before/drain_before
    sequences against a sorted-association-list reference, exercising the
-   lazy-deletion path (cancelled entries linger until they surface) and,
-   for the wheel backend, cascades and the overflow heap. *)
+   lazy-deletion path (cancelled entries linger until they surface),
+   cascades and the overflow heap. *)
 
 type eq_op =
   | Add of int
@@ -475,11 +473,10 @@ let eq_ops_arb =
     ~print:(fun ops -> String.concat "; " (List.map eq_op_print ops))
     QCheck.Gen.(list_size (int_bound 200) eq_op_gen)
 
-let prop_eq_model (name, backend) =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "event_queue (%s) matches sorted-list model" name)
+let prop_eq_model =
+  QCheck.Test.make ~name:"event_queue (wheel) matches sorted-list model"
     ~count:300 eq_ops_arb (fun ops ->
-      let q = Event_queue.create ~backend () in
+      let q = Event_queue.create () in
       (* The model: live entries as (time, id) kept in pop order; [handles]
          maps id -> real handle for cancel targeting. *)
       let model = ref [] and handles = ref [||] and next_id = ref 0 in
@@ -642,8 +639,8 @@ let batch_scenario_arb =
    setup; the observable record is the (clock, id) log plus the local
    executed counter. Tagged log events carry their scenario index in
    [a] so the two runs can be compared id-by-id. *)
-let run_batch_scenario ~backend ~drive ops =
-  let sim = Sim.create ~backend () in
+let run_batch_scenario ~drive ops =
+  let sim = Sim.create () in
   let log = ref [] in
   let fire_tag =
     Sim.register_handler sim (fun a _ -> log := (Sim.now sim, a) :: !log)
@@ -690,14 +687,12 @@ let drive_step sim =
     ()
   done
 
-let prop_batch_vs_step (name, backend) =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "run_until batches = step-at-a-time (%s)" name)
+let prop_batch_vs_step =
+  QCheck.Test.make ~name:"run_until batches = step-at-a-time (wheel)"
     ~count:500 batch_scenario_arb (fun ops ->
       let g0 = Sim.total_events_executed () in
-      let batched = run_batch_scenario ~backend ~drive:drive_run_until ops in
-      let stepped = run_batch_scenario ~backend ~drive:drive_step ops in
+      let batched = run_batch_scenario ~drive:drive_run_until ops in
+      let stepped = run_batch_scenario ~drive:drive_step ops in
       let g1 = Sim.total_events_executed () in
       (* Satellite invariant: the batched global-counter flush loses
          nothing — the process-wide aggregate advances by exactly the
@@ -802,26 +797,17 @@ let suite =
         Alcotest.test_case "stale handle after recycling" `Quick
           test_eq_stale_handle_recycled;
         Alcotest.test_case "multi-level order (wheel)" `Quick
-          (test_eq_multi_level Event_queue.Wheel);
-        Alcotest.test_case "multi-level order (heap)" `Quick
-          (test_eq_multi_level Event_queue.Heap);
+          test_eq_multi_level;
         Alcotest.test_case "zero-alloc steady state" `Quick
           test_eq_zero_alloc;
         Alcotest.test_case "covering-slot drain on cursor jump (wheel)"
           `Quick
-          (test_eq_covering_slot_drain Event_queue.Wheel);
-        Alcotest.test_case "covering-slot drain on cursor jump (heap)"
-          `Quick
-          (test_eq_covering_slot_drain Event_queue.Heap);
+          test_eq_covering_slot_drain;
         Alcotest.test_case "demoted front keeps FIFO (wheel)" `Quick
-          (test_eq_demoted_front_fifo Event_queue.Wheel);
-        Alcotest.test_case "demoted front keeps FIFO (heap)" `Quick
-          (test_eq_demoted_front_fifo Event_queue.Heap);
+          test_eq_demoted_front_fifo;
         QCheck_alcotest.to_alcotest prop_eq_sorted;
-      ]
-      @ List.map
-          (fun b -> QCheck_alcotest.to_alcotest (prop_eq_model b))
-          eq_backends );
+        QCheck_alcotest.to_alcotest prop_eq_model;
+      ] );
     ( "engine.sim",
       [
         Alcotest.test_case "runs in order" `Quick test_sim_runs_in_order;
@@ -834,8 +820,6 @@ let suite =
           test_sim_tagged_zero_alloc;
         Alcotest.test_case "deterministic replay" `Quick
           test_sim_deterministic_replay;
-      ]
-      @ List.map
-          (fun b -> QCheck_alcotest.to_alcotest (prop_batch_vs_step b))
-          eq_backends );
+        QCheck_alcotest.to_alcotest prop_batch_vs_step;
+      ] );
   ]

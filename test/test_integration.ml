@@ -161,8 +161,8 @@ let test_dlopen_in_live_domain () =
    order: senduipi, handler entry in privileged mode, dispatch with the
    PKRU flip. *)
 let test_fig6_trace () =
-  let ring = Obs.Ring.create () in
-  Obs.Probe.with_sink (Obs.Ring.sink ring) @@ fun () ->
+  let journal = Obs.Journal.create () in
+  Obs.Probe.with_sink (Obs.Journal.sink journal) @@ fun () ->
   let sim = Sim.create ~seed:9 () in
   let machine = Hw.Machine.create ~cores:1 sim in
   let v = S.Vessel.make ~machine () in
@@ -176,10 +176,16 @@ let test_fig6_trace () =
          W.Openloop.start lc ~rate_rps:1_000_000. ~until:60_000));
   Sim.run_until sim 200_000;
   sys.S.Sched_intf.stop ();
-  let ts_of = List.map Obs.Event.ts in
-  let sends = ts_of (Obs.Ring.find_all ring ~name:Obs.Tag.uintr_send) in
-  let handles = ts_of (Obs.Ring.find_all ring ~name:Obs.Tag.uintr_handle) in
-  let dispatches = ts_of (Obs.Ring.find_all ring ~name:Obs.Tag.dispatch) in
+  let events = Obs.Journal.to_list journal in
+  let ts_of name =
+    List.filter_map
+      (fun ev ->
+        if Obs.Event.name ev = Some name then Some (Obs.Event.ts ev) else None)
+      events
+  in
+  let sends = ts_of Obs.Tag.uintr_send in
+  let handles = ts_of Obs.Tag.uintr_handle in
+  let dispatches = ts_of Obs.Tag.dispatch in
   check_bool "send recorded" true (sends <> []);
   check_bool "handle recorded" true (handles <> []);
   check_bool "dispatch recorded" true (dispatches <> []);

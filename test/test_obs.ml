@@ -1,7 +1,6 @@
-(* Tests for the Vessel_obs observability subsystem: the bounded event
-   ring (successor of the old engine trace ring), the metrics registry's
-   histogram-merge algebra, the Perfetto trace_event exporter, and the
-   -j N determinism of the collector's merged output. *)
+(* Tests for the Vessel_obs observability subsystem: probe scopes, the
+   metrics registry's histogram-merge algebra, the Perfetto trace_event
+   exporter, and the -j N determinism of the collector's merged output. *)
 
 module Obs = Vessel_obs
 
@@ -12,45 +11,40 @@ let instant ?(track = Obs.Track.Engine) ~ts name =
   Obs.Event.Instant { ts; track; name; args = [] }
 
 (* ------------------------------------------------------------------ *)
-(* Ring *)
-
-let test_ring_order () =
-  let r = Obs.Ring.create () in
-  Obs.Ring.record r (instant ~ts:1 "x");
-  Obs.Ring.record r (instant ~ts:2 "y");
-  let names = List.filter_map Obs.Event.name (Obs.Ring.to_list r) in
-  Alcotest.(check (list string)) "order" [ "x"; "y" ] names
-
-let test_ring_wraps () =
-  let r = Obs.Ring.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Obs.Ring.record r (instant ~ts:i "t")
-  done;
-  check_int "capped" 3 (Obs.Ring.length r);
-  let ts = List.map Obs.Event.ts (Obs.Ring.to_list r) in
-  Alcotest.(check (list int)) "most recent" [ 3; 4; 5 ] ts
-
-let test_ring_find_and_clear () =
-  let r = Obs.Ring.create () in
-  Obs.Ring.record r (instant ~ts:1 "a");
-  Obs.Ring.record r (instant ~ts:2 "b");
-  Obs.Ring.record r (instant ~ts:3 "a");
-  check_int "find_all" 2 (List.length (Obs.Ring.find_all r ~name:"a"));
-  Obs.Ring.clear r;
-  check_int "cleared" 0 (Obs.Ring.length r)
+(* Probe scopes *)
 
 (* with_sink scopes: probes fire only inside the scope, and the scope
    restores the ambient sink afterwards. *)
 let test_with_sink_scope () =
-  let r = Obs.Ring.create () in
+  let j = Obs.Journal.create () in
   check_bool "probes off outside" false !Obs.Probe.on;
-  Obs.Probe.with_sink (Obs.Ring.sink r) (fun () ->
+  Obs.Probe.with_sink (Obs.Journal.sink j) (fun () ->
       check_bool "probes on inside" true !Obs.Probe.on;
       Obs.Probe.instant ~ts:7 ~track:Obs.Track.Engine ~name:"inside" ());
   check_bool "probes off after" false !Obs.Probe.on;
   Obs.Probe.instant ~ts:8 ~track:Obs.Track.Engine ~name:"outside" ();
-  check_int "only scoped event captured" 1 (Obs.Ring.length r);
-  check_int "scoped ts" 7 (Obs.Event.ts (List.hd (Obs.Ring.to_list r)))
+  check_int "only scoped event captured" 1 (Obs.Journal.length j);
+  check_int "scoped ts" 7 (Obs.Event.ts (List.hd (Obs.Journal.to_list j)))
+
+(* Scopes entered and left on several domains at once must never switch
+   probes off under a live scope: every guarded instant reaches its
+   scope's sink. One [Pool.map] per round makes the domains enter and
+   leave together, which is where an unserialised flag update could
+   publish a stale [false]; unsynchronised loops almost never hit it. *)
+let test_with_sink_scopes_across_domains () =
+  let dropped = Atomic.make 0 in
+  let job _ =
+    let got = ref 0 in
+    Obs.Probe.with_sink (Obs.Sink.of_fn (fun _ -> incr got)) (fun () ->
+        if !Obs.Probe.on then
+          Obs.Probe.instant ~ts:0 ~track:Obs.Track.Engine ~name:"stress" ());
+    if !got <> 1 then Atomic.incr dropped
+  in
+  let jobs = List.init 8 Fun.id in
+  for _ = 1 to 300_000 do
+    ignore (Vessel_engine.Pool.map ~domains:4 job jobs)
+  done;
+  check_int "scopes that lost their event" 0 (Atomic.get dropped)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: registry basics and the histogram-merge algebra. *)
@@ -219,12 +213,11 @@ let test_collector_identical_across_jobs () =
 
 let suite =
   [
-    ( "obs.ring",
+    ( "obs.probe",
       [
-        Alcotest.test_case "order" `Quick test_ring_order;
-        Alcotest.test_case "ring wraps" `Quick test_ring_wraps;
-        Alcotest.test_case "find/clear" `Quick test_ring_find_and_clear;
         Alcotest.test_case "with_sink scope" `Quick test_with_sink_scope;
+        Alcotest.test_case "scopes across domains lose no event" `Slow
+          test_with_sink_scopes_across_domains;
       ] );
     ( "obs.metrics",
       [

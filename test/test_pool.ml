@@ -92,43 +92,6 @@ let test_fig1_row_identical_across_jobs () =
       check_bool "row is non-trivial" true (a.Exp_fig1.offered_rps > 0.)
   | _ -> Alcotest.fail "expected one row per run"
 
-(* The timing wheel is a pure engine substitution: the same experiment
-   rows must come out byte-identical under the wheel and the reference
-   heap backend, at any -j. *)
-let with_backend backend f =
-  let saved = !Event_queue.default_backend in
-  Event_queue.default_backend := backend;
-  Fun.protect ~finally:(fun () -> Event_queue.default_backend := saved) f
-
-let test_rows_identical_across_backends () =
-  let open Vessel_experiments in
-  let run backend =
-    with_backend backend (fun () ->
-        let fig1 = Exp_fig1.run ~seed:42 ~cores:2 ~fractions:[ 0.5 ] () in
-        let fig9 =
-          Exp_fig9.run ~seed:42 ~cores:2 ~systems:[ Runner.Vessel ]
-            ~fractions:[ 0.5 ] ~l_app:Runner.Memcached ()
-        in
-        (fig1, fig9))
-  in
-  let w1, w9 = run Event_queue.Wheel in
-  let h1, h9 = run Event_queue.Heap in
-  check_bool "fig1 rows wheel = heap" true (w1 = h1);
-  check_bool "fig9 rows wheel = heap" true (w9 = h9);
-  check_int "fig1 produced a row" 1 (List.length w1);
-  check_int "fig9 produced a row" 1 (List.length w9);
-  (* And the backend swap composes with parallel sweeps. *)
-  let saved = Runner.domains () in
-  let p1 =
-    Fun.protect
-      ~finally:(fun () -> Runner.set_domains saved)
-      (fun () ->
-        Runner.set_domains 4;
-        with_backend Event_queue.Heap (fun () ->
-            Exp_fig1.run ~seed:42 ~cores:2 ~fractions:[ 0.5 ] ()))
-  in
-  check_bool "heap rows identical at -j 4" true (h1 = p1)
-
 let suite =
   [
     ( "engine.pool",
@@ -149,7 +112,5 @@ let suite =
       [
         Alcotest.test_case "fig1 row identical at -j 1 and -j 4" `Slow
           test_fig1_row_identical_across_jobs;
-        Alcotest.test_case "fig1+fig9 rows identical wheel vs heap" `Slow
-          test_rows_identical_across_backends;
       ] );
   ]

@@ -1,5 +1,5 @@
-(* Tests for the measurement substrate: histogram, summary, series,
-   cycle accounting and table rendering. *)
+(* Tests for the measurement substrate: histogram, cycle accounting and
+   table rendering. *)
 
 open Vessel_stats
 
@@ -215,60 +215,6 @@ let test_hist_index_exhaustive () =
     (!checked > (61 - precision + 1) * sub * 3)
 
 (* ------------------------------------------------------------------ *)
-(* Summary *)
-
-let test_summary_basic () =
-  let s = Summary.create () in
-  List.iter (Summary.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  check_int "count" 8 (Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5. (Summary.mean s);
-  Alcotest.(check (float 1e-6)) "stddev (n-1)" 2.13809 (Summary.stddev s);
-  Alcotest.(check (float 0.)) "min" 2. (Summary.min s);
-  Alcotest.(check (float 0.)) "max" 9. (Summary.max s);
-  Alcotest.(check (float 0.)) "total" 40. (Summary.total s)
-
-let test_summary_empty () =
-  let s = Summary.create () in
-  Alcotest.(check (float 0.)) "mean" 0. (Summary.mean s);
-  Alcotest.(check (float 0.)) "variance" 0. (Summary.variance s);
-  check_bool "min nan" true (Float.is_nan (Summary.min s))
-
-let test_summary_clear () =
-  let s = Summary.create () in
-  Summary.add s 3.;
-  Summary.clear s;
-  check_int "count" 0 (Summary.count s)
-
-(* ------------------------------------------------------------------ *)
-(* Series *)
-
-let test_series_order_enforced () =
-  let s = Series.create () in
-  Series.add s ~at:10 1.;
-  check_bool "unordered rejected" true
-    (try
-       Series.add s ~at:5 2.;
-       false
-     with Invalid_argument _ -> true)
-
-let test_series_mean_between () =
-  let s = Series.create () in
-  List.iter (fun (t, v) -> Series.add s ~at:t v)
-    [ (0, 1.); (10, 2.); (20, 3.); (30, 4.) ];
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Series.mean s);
-  let sub = Series.between s ~lo:10 ~hi:30 in
-  check_int "window length" 2 (Series.length sub);
-  Alcotest.(check (float 1e-9)) "window mean" 2.5 (Series.mean sub)
-
-let test_series_last_and_rate () =
-  let s = Series.create () in
-  Alcotest.(check bool) "empty last" true (Series.last s = None);
-  Series.add s ~at:5 9.;
-  Alcotest.(check bool) "last" true (Series.last s = Some (5, 9.));
-  Alcotest.(check (float 1e-6)) "rate" 2_000_000.
-    (Series.rate_per_s ~count:2_000 ~window:1_000_000)
-
-(* ------------------------------------------------------------------ *)
 (* Cycle_account *)
 
 let test_cycles_basic () =
@@ -300,45 +246,6 @@ let test_cycles_negative_rejected () =
   Alcotest.check_raises "negative"
     (Invalid_argument "Cycle_account.charge: negative duration") (fun () ->
       Cycle_account.charge c Idle (-1))
-
-(* ------------------------------------------------------------------ *)
-(* Timeline *)
-
-let test_timeline_render () =
-  let tl = Timeline.create ~cores:2 in
-  Timeline.record tl ~core:0 ~from:0 ~till:50 ~label:"alpha";
-  Timeline.record tl ~core:0 ~from:50 ~till:100 ~label:"beta";
-  Timeline.record tl ~core:1 ~from:25 ~till:75 ~label:"alpha";
-  let s = Timeline.render tl ~from:0 ~till:100 ~width:10 () in
-  let lines = String.split_on_char '\n' s in
-  let row n = List.nth lines n in
-  check_bool "core0 alpha then beta" true
-    (let r = row 0 in
-     String.sub r 9 10 = "aaaaabbbbb");
-  check_bool "core1 idle-alpha-idle" true
-    (let r = row 1 in
-     (* buckets 0-1 idle (0-20), 3-6 alpha, 8-9 idle *)
-     r.[9] = '.' && r.[13] = 'a' && r.[18] = '.');
-  Alcotest.(check (list string)) "labels in first-appearance order"
-    [ "alpha"; "beta" ] (Timeline.labels tl)
-
-let test_timeline_dominant_label () =
-  (* A bucket split between two labels shows the bigger occupant. *)
-  let tl = Timeline.create ~cores:1 in
-  Timeline.record tl ~core:0 ~from:0 ~till:30 ~label:"x";
-  Timeline.record tl ~core:0 ~from:30 ~till:100 ~label:"y";
-  let s = Timeline.render tl ~from:0 ~till:100 ~width:1 () in
-  check_bool "y dominates the single bucket" true
-    (String.contains (List.hd (String.split_on_char '\n' s)) 'y')
-
-let test_timeline_validation () =
-  let tl = Timeline.create ~cores:1 in
-  (* Reversed segments ignored, bad core rejected. *)
-  Timeline.record tl ~core:0 ~from:10 ~till:5 ~label:"z";
-  check_bool "reversed ignored" true (Timeline.labels tl = []);
-  check_bool "bad core" true
-    (try Timeline.record tl ~core:5 ~from:0 ~till:1 ~label:"z"; false
-     with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Table *)
@@ -399,30 +306,12 @@ let suite =
         QCheck_alcotest.to_alcotest prop_hist_percentile_bounded;
         QCheck_alcotest.to_alcotest prop_hist_mean_exact;
       ] );
-    ( "stats.summary",
-      [
-        Alcotest.test_case "basic" `Quick test_summary_basic;
-        Alcotest.test_case "empty" `Quick test_summary_empty;
-        Alcotest.test_case "clear" `Quick test_summary_clear;
-      ] );
-    ( "stats.series",
-      [
-        Alcotest.test_case "order enforced" `Quick test_series_order_enforced;
-        Alcotest.test_case "mean/between" `Quick test_series_mean_between;
-        Alcotest.test_case "last/rate" `Quick test_series_last_and_rate;
-      ] );
     ( "stats.cycle_account",
       [
         Alcotest.test_case "basic" `Quick test_cycles_basic;
         Alcotest.test_case "merge" `Quick test_cycles_merge;
         Alcotest.test_case "negative rejected" `Quick
           test_cycles_negative_rejected;
-      ] );
-    ( "stats.timeline",
-      [
-        Alcotest.test_case "render" `Quick test_timeline_render;
-        Alcotest.test_case "dominant label" `Quick test_timeline_dominant_label;
-        Alcotest.test_case "validation" `Quick test_timeline_validation;
       ] );
     ( "stats.table",
       [
