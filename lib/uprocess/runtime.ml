@@ -137,7 +137,7 @@ let process_commands t ~core =
 (* --- the local half of the one-level policy (section 4.5) --- *)
 
 let rec pop_live t q =
-  match Task_queue.pop q with
+  match Task_queue.pop q ~now:(now t) with
   | None -> None
   | Some (th, _) ->
       if is_dead t th then begin
