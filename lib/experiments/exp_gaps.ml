@@ -34,7 +34,8 @@ let measure ~seed ~cores ~cap ~period ~duration (sched, duty) =
       ~workers:cores ()
   in
   let _lp = W.Linpack.make ~sys:b.Runner.sys ~app_id:11 ~workers:cores () in
-  let burst_len = int_of_float (duty *. float_of_int period) in
+  (* At least 1 ns, so a duty under 1 / period still makes a valid burst. *)
+  let burst_len = max 1 (int_of_float (duty *. float_of_int period)) in
   b.Runner.sys.S.Sched_intf.start ();
   W.Openloop.start_bursty gen ~base_rps:(0.2 *. cap) ~burst_rps:(1.2 *. cap)
     ~burst_len ~period ~until:duration;
