@@ -369,8 +369,9 @@ let () =
       !metrics_out;
     Option.iter
       (fun f ->
-        Vessel_obs.Attrib.report print_string;
-        write_file f Vessel_obs.Attrib.write)
+        let ss = Vessel_obs.Attrib.summaries () in
+        Vessel_obs.Attrib.report print_string ss;
+        write_file f (fun out -> Vessel_obs.Attrib.write_summaries out ss))
       !attrib_out
   end;
   exit (if code = 0 && !check_failed then 1 else code)

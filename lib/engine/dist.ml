@@ -50,12 +50,10 @@ let mixture parts =
 
 let shifted off d = Shifted (off, d)
 
-let zipf ~s ~n =
-  if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
-  if s < 0. then invalid_arg "Dist.zipf: s must be >= 0";
-  (* CDF over ranks 0..n-1 with weight (r+1)^-s, normalized; a sample is
-     one uniform draw plus a binary search. Built once at construction —
-     O(n) memory, so share the value rather than rebuilding per draw. *)
+(* CDF over ranks 0..n-1 with weight (r+1)^-s, normalized; a sample is
+   one uniform draw plus a binary search. O(n) to build and never
+   mutated, so one table per (s, n) serves every caller on any domain. *)
+let build_zipf ~s ~n =
   let cdf = Array.make n 0. in
   let acc = ref 0. in
   for r = 0 to n - 1 do
@@ -70,6 +68,26 @@ let zipf ~s ~n =
     mean_rank := !mean_rank +. (float_of_int r *. w)
   done;
   Zipf { cdf; mean_rank = !mean_rank }
+
+(* A fleet builds the same table for every point, on whichever domain
+   runs it; the lock makes a second caller wait for the first's build. *)
+let zipf_memo : ((float * int) * t) list ref = ref []
+let zipf_mu = Mutex.create ()
+
+let zipf ~s ~n =
+  if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
+  if s < 0. then invalid_arg "Dist.zipf: s must be >= 0";
+  Mutex.protect zipf_mu (fun () ->
+      match
+        List.find_opt
+          (fun ((s', n'), _) -> Float.equal s s' && n = n')
+          !zipf_memo
+      with
+      | Some (_, d) -> d
+      | None ->
+          let d = build_zipf ~s ~n in
+          zipf_memo := ((s, n), d) :: !zipf_memo;
+          d)
 
 let normal rng =
   let rec draw () =

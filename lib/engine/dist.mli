@@ -40,7 +40,8 @@ val zipf : s:float -> n:int -> t
     probability proportional to [(r+1)^-s]. Samples are integral ranks
     returned as floats; [s = 0] is uniform, [s ~ 1] the classic skew of
     cache/key-popularity traces. Construction is O(n) (a cumulative
-    table), sampling O(log n) — build once, share the value. *)
+    table), sampling O(log n). The table is built once per [(s, n)] and
+    shared by every later call, from any domain. *)
 
 val sample : t -> Rng.t -> float
 

@@ -64,15 +64,24 @@ type summary = {
 
 val summarize : t -> summary
 
+val sort_ints : int array -> unit
+(** Sorts ascending in place, as [Array.sort Int.compare] does (exposed
+    for tests). *)
+
 val instances : unit -> t list
 (** All registered instances, sorted by (key, seq). *)
+
+val summaries : unit -> summary list
+(** {!summarize} of every instance, in {!instances} order. *)
 
 val write : (string -> unit) -> unit
 (** The [vessel-attrib-1] JSON artifact for every instance. *)
 
-val to_string : unit -> string
-val report : (string -> unit) -> unit
-(** Human-readable p99 blame report, per instance and per shard. *)
+val write_summaries : (string -> unit) -> summary list -> unit
+(** {!write} from summaries already made. *)
+
+val report : (string -> unit) -> summary list -> unit
+(** Human-readable p99 blame report, per summary and per shard. *)
 
 val reset : unit -> unit
 (** Drop all instances — test isolation. *)

@@ -102,11 +102,8 @@ let sorted_units () =
   Mutex.unlock mu;
   List.sort (fun a b -> compare a.key b.key) us
 
-let events () =
-  List.concat_map (fun u -> Journal.to_list u.journal) (sorted_units ())
-
 let write_trace out =
-  Perfetto.write out ~units:(List.map (fun u -> Journal.to_list u.journal) (sorted_units ()))
+  Perfetto.write out ~units:(List.map (fun u -> u.journal) (sorted_units ()))
 
 let write_metrics out =
   let merged = Metrics.create () in

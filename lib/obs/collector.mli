@@ -50,9 +50,6 @@ val with_unit : child -> (unit -> 'a) -> 'a
     over time, but never concurrently for the same child — the cluster's
     epoch barrier guarantees this. *)
 
-val events : unit -> Event.t list
-(** All collected trace events, merged in sorted unit order. *)
-
 val write_trace : (string -> unit) -> unit
 (** Chrome [trace_event] JSON of everything collected (see {!Perfetto}). *)
 

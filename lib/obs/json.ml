@@ -1,19 +1,35 @@
+let needs_escape s =
+  let rec scan i =
+    i < String.length s
+    && (match String.unsafe_get s i with
+       | '"' | '\\' -> true
+       | c -> Char.code c < 0x20 || scan (i + 1))
+  in
+  scan 0
+
+(* Most names need no escaping: one scan that finds nothing to escape
+   appends the string whole. *)
+let add_quoted b s =
+  Buffer.add_char b '"';
+  if not (needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+  Buffer.add_char b '"'
+
 let quote s =
   let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
+  add_quoted b s;
   Buffer.contents b
 
 type t =

@@ -5,6 +5,9 @@
 val quote : string -> string
 (** [quote s] is [s] escaped and wrapped in double quotes. *)
 
+val add_quoted : Buffer.t -> string -> unit
+(** [add_quoted b s] appends [quote s] to [b]. *)
+
 type t =
   | Null
   | Bool of bool

@@ -129,6 +129,143 @@ let test_sink_replay () =
   | ls -> Alcotest.failf "expected 1 ledger, got %d" (List.length ls)
 
 (* ------------------------------------------------------------------ *)
+(* Differential: [Attrib.summarize] against the list-based finalizer it
+   replaced, kept here as the reference. The reference groups stamps by
+   rid in a hash table of lists, lanes in index order and each lane in
+   recording order, then stable-sorts each request's stamps by (ts,
+   phase, lane) and walks them. *)
+
+let reference_summarize ~hop_ns (lanes : (int * int) list array) =
+  let bucket_of_phase = [| 0; 1; 2; 2; 3; 4; 5; -1 |] in
+  let by_rid : (int, (int * int * int) list) Hashtbl.t = Hashtbl.create 64 in
+  Array.iteri
+    (fun lane stamps ->
+      List.iter
+        (fun (c, ts) ->
+          let rid = c lsr 3 in
+          let prev = Option.value ~default:[] (Hashtbl.find_opt by_rid rid) in
+          Hashtbl.replace by_rid rid ((c, ts, lane) :: prev))
+        stamps)
+    lanes;
+  let rids = List.sort compare (Hashtbl.fold (fun rid _ acc -> rid :: acc) by_rid []) in
+  let inflight = ref 0 and malformed = ref 0 and violations = ref 0 in
+  let ledgers =
+    List.filter_map
+      (fun rid ->
+        let stamps =
+          List.stable_sort
+            (fun (c1, t1, l1) (c2, t2, l2) ->
+              compare (t1, c1 land 7, l1) (t2, c2 land 7, l2))
+            (List.rev (Hashtbl.find by_rid rid))
+        in
+        match stamps with
+        | (c0, t0, _) :: rest when c0 land 7 = 0 ->
+            let by_bucket = Array.make Attrib.nbuckets 0 in
+            let shard = ref 0 in
+            let rec walk prev_phase prev_ts = function
+              | [] ->
+                  incr inflight;
+                  None
+              | (c, ts, lane) :: tl ->
+                  let gap = ts - prev_ts in
+                  (match prev_phase with
+                  | 1 | 6 ->
+                      let hop = min gap hop_ns in
+                      let b = bucket_of_phase.(prev_phase) in
+                      by_bucket.(b) <- by_bucket.(b) + hop;
+                      by_bucket.(6) <- by_bucket.(6) + (gap - hop)
+                  | p ->
+                      let b = bucket_of_phase.(p) in
+                      by_bucket.(b) <- by_bucket.(b) + gap);
+                  let ph = c land 7 in
+                  if ph = 6 || (ph = 4 && !shard = 0) then shard := lane + 1;
+                  if ph = 7 then begin
+                    let e2e = ts - t0 in
+                    if Array.fold_left ( + ) 0 by_bucket <> e2e then
+                      incr violations;
+                    Some
+                      {
+                        Attrib.rid;
+                        e2e_ns = e2e;
+                        shard = max 0 (!shard - 1);
+                        by_bucket;
+                      }
+                  end
+                  else walk ph ts tl
+            in
+            walk (c0 land 7) t0 rest
+        | _ ->
+            incr malformed;
+            None)
+      rids
+  in
+  (ledgers, !inflight, !malformed, !violations)
+
+(* Random multi-lane streams of (lane, rid, phase, ts) stamps. A stamp
+   of phase p falls in [5p, 5p + 12], so a request's stamps mostly run
+   in phase order, yet windows overlap: equal timestamps are common, and
+   a rid may lack its Arrive or its Done or have stamps after Done. Over
+   2,000 cases this gives ~3,400 completed ledgers, ~2,100 in flight and
+   ~5,600 malformed. *)
+let summarize_matches_reference =
+  let stamp lanes =
+    QCheck.Gen.(
+      map
+        (fun (lane, rid, p, d) -> (lane, rid, p, (5 * p) + d))
+        (quad (int_bound (lanes - 1)) (int_range 1 6) (int_bound 7) (int_bound 12)))
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun lanes ->
+      pair (pure lanes) (pair (int_bound 30) (list_size (0 -- 80) (stamp lanes))))
+  in
+  let print (lanes, (hop_ns, stamps)) =
+    Printf.sprintf "lanes %d, hop %d: %s" lanes hop_ns
+      (String.concat " "
+         (List.map
+            (fun (l, rid, p, ts) -> Printf.sprintf "L%d:r%d:p%d@%d" l rid p ts)
+            stamps))
+  in
+  QCheck.Test.make ~count:2_000 ~name:"summarize = list-based reference"
+    (QCheck.make ~print gen)
+    (fun (lanes, (hop_ns, stamps)) ->
+      scoped
+        (fun () ->
+          let a = Attrib.create ~lanes ~hop_ns () in
+          let per_lane = Array.make lanes [] in
+          List.iter
+            (fun (lane, rid, p, ts) ->
+              let c = (rid lsl 3) lor p in
+              Attrib.record a ~lane c ts;
+              per_lane.(lane) <- (c, ts) :: per_lane.(lane))
+            stamps;
+          let s = Attrib.summarize a in
+          let ledgers, inflight, malformed, violations =
+            reference_summarize ~hop_ns (Array.map List.rev per_lane)
+          in
+          s.Attrib.ledgers = ledgers
+          && s.Attrib.inflight = inflight
+          && s.Attrib.malformed = malformed
+          && s.Attrib.violations = violations)
+        ())
+
+(* The percentile arrays' sort orders as [Int.compare] does, over the
+   whole int range: negatives, extremes and repeated values. *)
+let sort_ints_matches_compare =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [ int; int_range (-70_000) 70_000; oneofl [ min_int; max_int; 0; -1 ] ])
+  in
+  QCheck.Test.make ~count:500 ~name:"sort_ints = Array.sort Int.compare"
+    QCheck.(make ~print:Print.(array int) Gen.(array_size (0 -- 300) value))
+    (fun a ->
+      let expected = Array.copy a and got = Array.copy a in
+      Array.sort Int.compare expected;
+      Attrib.sort_ints got;
+      expected = got)
+
+(* ------------------------------------------------------------------ *)
 (* Conservation on live runs. *)
 
 let conserved s =
@@ -168,13 +305,11 @@ let fleet_report j =
        ~duration:2_000_000
        ~policies:[ Vessel_workloads.Frontend.Least_loaded ]
        ~scenarios:[ Exp_fleet.Skew ] ());
-  let ok =
-    List.for_all (fun a -> conserved (Attrib.summarize a)) (Attrib.instances ())
-  in
+  let ss = Attrib.summaries () in
   let b = Buffer.create 4096 in
   Attrib.write (Buffer.add_string b);
-  Attrib.report (Buffer.add_string b);
-  (ok, Buffer.contents b)
+  Attrib.report (Buffer.add_string b) ss;
+  (List.for_all conserved ss, Buffer.contents b)
 
 let test_fleet_conservation_any_j () =
   let saved = Runner.domains () in
@@ -200,6 +335,8 @@ let suite =
         Alcotest.test_case "preemption phase charges" `Quick
           (scoped test_preemption_phases);
         Alcotest.test_case "sink replay" `Quick (scoped test_sink_replay);
+        QCheck_alcotest.to_alcotest summarize_matches_reference;
+        QCheck_alcotest.to_alcotest sort_ints_matches_compare;
         QCheck_alcotest.to_alcotest conservation_single_sim;
         Alcotest.test_case "fleet conservation, -j 1 = -j 4" `Slow
           test_fleet_conservation_any_j;

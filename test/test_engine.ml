@@ -156,6 +156,19 @@ let test_dist_invalid_args () =
     (Invalid_argument "Dist.lognormal_of_quantiles: need 0 < p50 < p999")
     (fun () -> ignore (Dist.lognormal_of_quantiles ~p50:10. ~p999:5.))
 
+(* One Zipf table per (s, n): calls from several domains at once get the
+   same value, and a different (s, n) gets its own. *)
+let test_dist_zipf_shared () =
+  let tables =
+    Pool.map ~domains:2 (fun _ -> Dist.zipf ~s:0.7 ~n:5_000) (List.init 4 Fun.id)
+  in
+  let first = List.hd tables in
+  check_bool "one table across domains" true
+    (List.for_all (fun d -> d == first) tables);
+  check_bool "same (s, n) shares" true (Dist.zipf ~s:0.7 ~n:5_000 == first);
+  check_bool "other n builds its own" true (Dist.zipf ~s:0.7 ~n:5_001 != first);
+  check_bool "other s builds its own" true (Dist.zipf ~s:0.8 ~n:5_000 != first)
+
 (* ------------------------------------------------------------------ *)
 (* Event_queue *)
 
@@ -779,6 +792,8 @@ let suite =
         Alcotest.test_case "shifted" `Quick test_dist_shifted;
         Alcotest.test_case "pareto" `Quick test_dist_pareto_positive;
         Alcotest.test_case "invalid args" `Quick test_dist_invalid_args;
+        Alcotest.test_case "zipf table shared per (s, n)" `Quick
+          test_dist_zipf_shared;
       ] );
     ( "engine.event_queue",
       [

@@ -106,9 +106,115 @@ let hist_merge_properties =
       comm && assoc && totals)
 
 (* ------------------------------------------------------------------ *)
-(* Perfetto export: the golden check. A hand-built event stream exports
-   to parseable trace_event JSON whose spans nest properly and whose
-   timestamps are monotone per (pid, tid) track. *)
+(* Perfetto export: the golden checks. *)
+
+let journal_of events =
+  let j = Obs.Journal.create () in
+  List.iter (Obs.Journal.record j) events;
+  j
+
+let export units =
+  let b = Buffer.create 4096 in
+  Obs.Perfetto.write (Buffer.add_string b) ~units:(List.map journal_of units);
+  Buffer.contents b
+
+(* Every event kind, in two units: the second opens without a process
+   marker (so it gets a "sim" process) and then starts another, so the
+   pid numbering runs 1, 2, 3 and each pid re-emits its thread names.
+   One name and one string argument need escaping. *)
+let every_kind =
+  let open Obs.Event in
+  let core0 = Obs.Track.Core 0 in
+  [
+    [
+      Process { name = "sim seed=1" };
+      Span_begin { ts = 0; track = core0; name = "runtime"; args = [] };
+      Span_begin
+        {
+          ts = 100;
+          track = core0;
+          name = "compute";
+          args = [ ("tid", Int 1); ("kind", Str "idle") ];
+        };
+      Instant
+        {
+          ts = 150;
+          track = core0;
+          name = "ipi \"send\"\t\\";
+          args = [ ("to", Int (-12)); ("why", Str "a\nb\001") ];
+        };
+      Instant
+        { ts = 1_234_567; track = Obs.Track.Sched; name = "vessel.wake"; args = [] };
+      Counter
+        { ts = 2_000; track = Obs.Track.Engine; name = "engine.events"; value = 3 };
+      Flow { ts = 2_001; track = Obs.Track.Sched; name = "req"; id = 7; dir = Flow_start };
+      Flow { ts = 2_002; track = Obs.Track.Core 1; name = "req"; id = 7; dir = Flow_step };
+      Flow { ts = 2_003; track = Obs.Track.Engine; name = "req"; id = 7; dir = Flow_end };
+      Span_end { ts = 4_000; track = core0 };
+      Span_end { ts = 5_000; track = core0 };
+    ];
+    [
+      Instant { ts = 9; track = Obs.Track.Uproc 2; name = "uproc.enter"; args = [] };
+      Process { name = "sim seed=2" };
+      Instant { ts = 10; track = core0; name = "ipi.send"; args = [] };
+    ];
+  ]
+
+let every_kind_json =
+  {|{"displayTimeUnit": "ns", "traceEvents": [
+{"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "sim seed=1"}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 10, "args": {"name": "core 0"}},
+{"name": "runtime", "ph": "B", "ts": 0.000, "pid": 1, "tid": 10},
+{"name": "compute", "ph": "B", "ts": 0.100, "pid": 1, "tid": 10, "args": {"tid": 1, "kind": "idle"}},
+{"name": "ipi \"send\"\t\\", "ph": "i", "s": "t", "ts": 0.150, "pid": 1, "tid": 10, "args": {"to": -12, "why": "a\nb\u0001"}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 1, "args": {"name": "scheduler"}},
+{"name": "vessel.wake", "ph": "i", "s": "t", "ts": 1234.567, "pid": 1, "tid": 1},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "engine"}},
+{"name": "engine.events", "ph": "C", "ts": 2.000, "pid": 1, "tid": 0, "args": {"value": 3}},
+{"name": "req", "cat": "req", "ph": "s", "id": 7, "ts": 2.001, "pid": 1, "tid": 1},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 11, "args": {"name": "core 1"}},
+{"name": "req", "cat": "req", "ph": "t", "id": 7, "ts": 2.002, "pid": 1, "tid": 11},
+{"name": "req", "cat": "req", "ph": "f", "id": 7, "ts": 2.003, "pid": 1, "tid": 0, "bp": "e"},
+{"ph": "E", "ts": 4.000, "pid": 1, "tid": 10},
+{"ph": "E", "ts": 5.000, "pid": 1, "tid": 10},
+{"name": "process_name", "ph": "M", "pid": 2, "tid": 0, "args": {"name": "sim"}},
+{"name": "thread_name", "ph": "M", "pid": 2, "tid": 1002, "args": {"name": "uproc 2"}},
+{"name": "uproc.enter", "ph": "i", "s": "t", "ts": 0.009, "pid": 2, "tid": 1002},
+{"name": "process_name", "ph": "M", "pid": 3, "tid": 0, "args": {"name": "sim seed=2"}},
+{"name": "thread_name", "ph": "M", "pid": 3, "tid": 10, "args": {"name": "core 0"}},
+{"name": "ipi.send", "ph": "i", "s": "t", "ts": 0.010, "pid": 3, "tid": 10}
+]}
+|}
+
+let test_perfetto_bytes () =
+  Alcotest.(check string) "exported bytes" every_kind_json (export every_kind)
+
+(* The integer [ts] digits equal [%.3f] of the float quotient: across
+   +-2^50, where they are computed, and beyond, where the float path
+   takes over. In [2^52, 2^53) integer digits would differ for ~2% of
+   values, and 18527190780329042 is one such value above. *)
+let ts_matches_printf =
+  let limit = 1 lsl 50 in
+  let signed g = QCheck.Gen.(map2 (fun neg x -> if neg then -x else x) bool g) in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          signed (int_bound (limit - 1));
+          int_range (-100_000) 100_000;
+          signed (map (fun d -> limit + d) (int_range (-1000) 1000));
+          signed (int_range (4 * limit) ((8 * limit) - 1));
+          oneofl [ 18527190780329042; max_int; min_int ];
+          int;
+        ])
+  in
+  QCheck.Test.make ~count:20_000 ~name:"ts digits = %.3f of ns/1000"
+    (QCheck.make ~print:string_of_int gen)
+    (fun ns ->
+      let b = Buffer.create 32 in
+      Obs.Perfetto.add_ts b ns;
+      String.equal (Buffer.contents b)
+        (Printf.sprintf "%.3f" (float_of_int ns /. 1000.)))
 
 let golden_unit =
   let open Obs.Event in
@@ -138,10 +244,10 @@ let field name conv ev =
   | Some v -> v
   | None -> Alcotest.failf "event missing %S" name
 
-let test_perfetto_golden () =
-  (* Two units: the exporter must give the second one a fresh pid so its
-     t=0 events cannot break the first unit's monotonicity. *)
-  let s = Obs.Perfetto.to_string ~units:[ golden_unit; golden_unit ] in
+(* [s] parses as trace_event JSON whose spans nest properly and whose
+   timestamps are monotone per (pid, tid) track; returns the number of
+   pids. *)
+let trace_structure s =
   let json =
     match Obs.Json.parse s with
     | Ok j -> j
@@ -171,45 +277,97 @@ let test_perfetto_golden () =
         | "E" ->
             check_bool "E has matching B" true (d > 0);
             Hashtbl.replace depth k (d - 1)
-        | "i" | "C" -> ()
+        | "i" | "C" | "s" | "t" | "f" -> ()
         | other -> Alcotest.failf "unexpected phase %S" other
       end)
     events;
   Hashtbl.iter (fun _ d -> check_int "spans balanced" 0 d) depth;
-  check_int "one pid per process marker" 2 (Hashtbl.length pids)
+  Hashtbl.length pids
+
+let test_perfetto_golden () =
+  (* Two units: the exporter must give the second one a fresh pid so its
+     t=0 events cannot break the first unit's monotonicity. *)
+  check_int "one pid per process marker" 2
+    (trace_structure (export [ golden_unit; golden_unit ]))
 
 (* ------------------------------------------------------------------ *)
 (* Collector determinism: with tracing and metrics enabled, a parallel
    sweep must export byte-identical files at -j 1 and -j 4. *)
 
-let test_collector_identical_across_jobs () =
+(* The MD5 of a stream written in pieces, kept as the digests of its
+   64 KiB blocks rather than as one string (a traced fig1 writes ~285
+   MB), with the stream's length. *)
+let streamed_digest write =
+  let block = Bytes.create 65536 and fill = ref 0 and total = ref 0 in
+  let digests = Buffer.create 4096 in
+  let flush () =
+    Buffer.add_string digests (Digest.subbytes block 0 !fill);
+    fill := 0
+  in
+  write (fun s ->
+      let pos = ref 0 in
+      while !pos < String.length s do
+        let k = min (String.length s - !pos) (Bytes.length block - !fill) in
+        Bytes.blit_string s !pos block !fill k;
+        fill := !fill + k;
+        pos := !pos + k;
+        if !fill = Bytes.length block then flush ()
+      done;
+      total := !total + String.length s);
+  flush ();
+  (Digest.to_hex (Digest.string (Buffer.contents digests)), !total)
+
+let with_collector f =
   let open Vessel_experiments in
   let saved = Runner.domains () in
   Fun.protect
     ~finally:(fun () ->
       Obs.Collector.reset ();
       Runner.set_domains saved)
-    (fun () ->
+    f
+
+let test_collector_identical_across_jobs () =
+  let open Vessel_experiments in
+  with_collector (fun () ->
       let run j =
         Obs.Collector.reset ();
         Obs.Collector.configure ~trace:true ~metrics:true ();
         Runner.set_domains j;
         ignore (Exp_fig1.run ~seed:42 ~cores:2 ~fractions:[ 0.25; 0.5 ] ());
-        let bt = Buffer.create 65536 and bm = Buffer.create 4096 in
-        Obs.Collector.write_trace (Buffer.add_string bt);
-        Obs.Collector.write_metrics (Buffer.add_string bm);
-        (Buffer.contents bt, Buffer.contents bm)
+        ( streamed_digest Obs.Collector.write_trace,
+          streamed_digest Obs.Collector.write_metrics )
       in
-      let t1, m1 = run 1 in
-      let t4, m4 = run 4 in
-      check_bool "trace byte-identical at -j 1 and -j 4" true
-        (String.equal t1 t4);
-      check_bool "metrics byte-identical at -j 1 and -j 4" true
-        (String.equal m1 m4);
-      (* Keep the comparison honest: both files parse and are non-trivial. *)
-      check_bool "trace parses" true (Result.is_ok (Obs.Json.parse t1));
-      check_bool "metrics parses" true (Result.is_ok (Obs.Json.parse m1));
-      check_bool "trace non-trivial" true (String.length t1 > 1_000))
+      let (t1, trace_bytes), (m1, metrics_bytes) = run 1 in
+      let (t4, _), (m4, _) = run 4 in
+      Alcotest.(check string) "trace digest at -j 1 and -j 4" t1 t4;
+      Alcotest.(check string) "metrics digest at -j 1 and -j 4" m1 m4;
+      check_bool "trace non-trivial" true (trace_bytes > 1_000_000);
+      check_bool "metrics non-trivial" true (metrics_bytes > 100))
+
+(* A real traced sweep of two points parses whole, and its structure
+   holds: one process per point, spans nested, ts monotone per track. *)
+let test_collector_trace_parses () =
+  let open Vessel_experiments in
+  with_collector (fun () ->
+      Obs.Collector.reset ();
+      Obs.Collector.configure ~trace:true ~metrics:true ();
+      Runner.set_domains 2;
+      ignore
+        (Runner.sweep
+           (fun krps ->
+             Runner.run_colocation ~seed:42 ~cores:2 ~warmup:500_000
+               ~duration:2_500_000 ~sched:Runner.Vessel ~l_app:Runner.Memcached
+               ~rate_rps:(float_of_int krps *. 1_000.)
+               ())
+           [ 100; 300 ]);
+      let bt = Buffer.create 65536 and bm = Buffer.create 4096 in
+      Obs.Collector.write_trace (Buffer.add_string bt);
+      Obs.Collector.write_metrics (Buffer.add_string bm);
+      let trace = Buffer.contents bt in
+      check_bool "trace is megabytes" true (String.length trace > 2_000_000);
+      check_bool "one pid per point" true (trace_structure trace >= 2);
+      check_bool "metrics parses" true
+        (Result.is_ok (Obs.Json.parse (Buffer.contents bm))))
 
 let suite =
   [
@@ -225,10 +383,17 @@ let suite =
         QCheck_alcotest.to_alcotest hist_merge_properties;
       ] );
     ( "obs.perfetto",
-      [ Alcotest.test_case "golden export" `Quick test_perfetto_golden ] );
+      [
+        Alcotest.test_case "golden export" `Quick test_perfetto_golden;
+        Alcotest.test_case "every event kind, byte-exact" `Quick
+          test_perfetto_bytes;
+        QCheck_alcotest.to_alcotest ts_matches_printf;
+      ] );
     ( "obs.collector",
       [
         Alcotest.test_case "trace+metrics identical at -j 1 and -j 4" `Slow
           test_collector_identical_across_jobs;
+        Alcotest.test_case "traced sweep parses" `Slow
+          test_collector_trace_parses;
       ] );
   ]
