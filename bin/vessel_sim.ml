@@ -13,15 +13,34 @@ let seed =
   let doc = "Root RNG seed; every run is deterministic given the seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Range-checked converters: an out-of-range count or duty would reach
+   the simulation as an empty machine or an empty burst and fail there
+   as an uncaught exception. *)
+let checked conv ok what =
+  let parse = Arg.conv_parser conv in
+  Arg.conv
+    ( (fun s ->
+        match parse s with
+        | Ok v when ok v -> Ok v
+        | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+        | Error _ as e -> e),
+      Arg.conv_printer conv )
+
+let positive = checked Arg.int (fun n -> n >= 1) "a positive integer"
+
+(* 128 is the OCaml runtime's domain limit (Max_domains): a sweep with
+   more points than that would otherwise spawn past it. *)
 let jobs =
   let doc =
-    "Worker domains for sweep execution. Each sweep point is an \
-     independent simulation built from an explicit seed, so the output \
-     is byte-identical at any $(docv); 1 runs fully sequentially."
+    "Worker domains for sweep execution, 1 to 128. Each sweep point is \
+     an independent simulation built from an explicit seed, so the \
+     output is byte-identical at any $(docv); 1 runs fully sequentially."
   in
   Arg.(
     value
-    & opt int (Vessel_engine.Pool.default_domains ())
+    & opt
+        (checked int (fun n -> n >= 1 && n <= 128) "an integer from 1 to 128")
+        (Vessel_engine.Pool.default_domains ())
     & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let trace_file =
@@ -69,21 +88,6 @@ let with_common run =
             ~metrics:(metrics <> None) ~attrib:(attrib <> None) ();
         run)
     $ jobs $ trace_file $ metrics_file $ attrib_file)
-
-(* Range-checked converters: an out-of-range count or duty would reach
-   the simulation as an empty machine or an empty burst and fail there
-   as an uncaught exception. *)
-let checked conv ok what =
-  let parse = Arg.conv_parser conv in
-  Arg.conv
-    ( (fun s ->
-        match parse s with
-        | Ok v when ok v -> Ok v
-        | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
-        | Error _ as e -> e),
-      Arg.conv_printer conv )
-
-let positive = checked Arg.int (fun n -> n >= 1) "a positive integer"
 
 let cores =
   let doc = "Worker cores for the colocation experiments." in

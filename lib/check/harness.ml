@@ -21,14 +21,6 @@ let scenario_name = function
   | Fleet_class -> "fleet"
   | Gaps -> "gaps"
 
-let scenario_of_string = function
-  | "fig1" -> Some Fig1_class
-  | "fig9" -> Some Fig9_class
-  | "gate" -> Some Gate
-  | "fleet" -> Some Fleet_class
-  | "gaps" -> Some Gaps
-  | _ -> None
-
 type verdict = {
   seed : int;
   profile : Fault.profile;

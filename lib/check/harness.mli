@@ -22,7 +22,6 @@ type scenario =
 
 val all_scenarios : scenario list
 val scenario_name : scenario -> string
-val scenario_of_string : string -> scenario option
 
 type verdict = {
   seed : int;

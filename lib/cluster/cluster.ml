@@ -80,10 +80,6 @@ let sim t m =
   check_id t m;
   t.ms.(m).m_sim
 
-let machine_seed t m =
-  check_id t m;
-  t.ms.(m).m_seed
-
 let lookahead t = t.la
 let now t = t.barrier
 let epochs t = t.n_epochs

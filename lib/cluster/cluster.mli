@@ -35,7 +35,6 @@ val create :
 
 val machines : t -> int
 val sim : t -> int -> Vessel_engine.Sim.t
-val machine_seed : t -> int -> int
 val lookahead : t -> Vessel_engine.Time.t
 
 val now : t -> Vessel_engine.Time.t

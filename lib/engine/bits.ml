@@ -50,12 +50,3 @@ let msb x =
   let m = -(Bool.to_int (hi <> 0)) in
   let w = (hi land m) lor (x land 0xFFFFFFFF land lnot m) in
   (32 land m) + msb32 w
-
-(* Population count of a 32-bit chunk (SWAR). The multiply accumulates
-   byte sums into bits 24..31; masking to 32 bits first reproduces the
-   uint32 truncation the C idiom relies on. *)
-let popcount32 x =
-  let x = x - ((x lsr 1) land 0x55555555) in
-  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
-  ((x * 0x01010101) land 0xFFFFFFFF) lsr 24

@@ -1,6 +1,6 @@
-(** Branch-free bit scans over 32-bit chunks: de Bruijn ctz/msb and a
-    SWAR popcount, shared by the timing wheel, the scheduler core-state
-    index and Histogram.index. *)
+(** Branch-free bit scans over 32-bit chunks: de Bruijn ctz/msb, shared
+    by the timing wheel, the scheduler core-state index and
+    Histogram.index. *)
 
 val ctz32 : int -> int
 (** [ctz32 x] is the index of the lowest set bit of [x]. [x] must be
@@ -14,7 +14,3 @@ val msb : int -> int
 (** [msb x] is the index of the highest set bit of any positive OCaml
     int (result in [0, 62]). Branchless: a half-select between the two
     32-bit chunks feeding {!msb32}. *)
-
-val popcount32 : int -> int
-(** [popcount32 x] is the number of set bits of [x], for [x] with no
-    bits above 31. *)

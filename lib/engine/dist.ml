@@ -19,10 +19,6 @@ let exponential ~mean =
   if mean <= 0. then invalid_arg "Dist.exponential: mean must be positive";
   Exponential { mean }
 
-let lognormal ~mu ~sigma =
-  if sigma < 0. then invalid_arg "Dist.lognormal: sigma must be >= 0";
-  Lognormal { mu; sigma }
-
 (* Standard normal quantile for p = 0.999: z such that Phi(z) = 0.999. *)
 let z_p999 = 3.090232306167813
 

@@ -15,9 +15,6 @@ val exponential : mean:float -> t
 (** Exponential with the given mean; inter-arrival times of a Poisson
     process with rate [1/mean]. *)
 
-val lognormal : mu:float -> sigma:float -> t
-(** Log of the value is normal(mu, sigma). *)
-
 val lognormal_of_quantiles : p50:float -> p999:float -> t
 (** The lognormal whose median is [p50] and whose 99.9th percentile is
     [p999]. Used to fit Silo's TPC-C service times (20 us median,

@@ -88,15 +88,6 @@ let create () =
 let is_empty t = t.live = 0
 let length t = t.live
 let pool_allocated t = Array.length t.slab
-(* Diagnostic only: walk the free list rather than tax the hot paths
-   with a counter. *)
-let pool_free t =
-  let n = ref 0 and i = ref t.free in
-  while !i >= 0 do
-    incr n;
-    i := t.slab.(!i).next
-  done;
-  !n
 
 (* Hot-path array access. Every index below is structural — free-list
    links, bucket chains, heap slots and the front cache only ever hold

@@ -122,6 +122,3 @@ val pop_event :
 val pool_allocated : 'a t -> int
 (** Entry records ever allocated for this queue (the pool high-water
     mark, rounded up to the growth geometry). *)
-
-val pool_free : 'a t -> int
-(** Entry records currently sitting in the free list. *)

@@ -39,8 +39,6 @@ let float t =
   let r = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int r /. 9007199254740992.0
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

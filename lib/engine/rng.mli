@@ -32,7 +32,5 @@ val int : t -> int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -2,7 +2,6 @@ type t = {
   mutable clock : Time.t;
   queue : (t -> unit) Event_queue.t;
   root_rng : Rng.t;
-  seed : int;
   mutable executed : int;
   mutable unflushed : int;
       (* events counted locally but not yet added to [global_executed] *)
@@ -45,7 +44,6 @@ let create ?(seed = 42) () =
       clock = Time.zero;
       queue = Event_queue.create ();
       root_rng = Rng.create ~seed;
-      seed;
       executed = 0;
       unflushed = 0;
       handlers = Array.make 8 unregistered_handler;
@@ -76,7 +74,6 @@ let create ?(seed = 42) () =
 
 let now t = t.clock
 let rng t = t.root_rng
-let seed t = t.seed
 let events_executed t = t.executed
 
 let register_handler t f =
@@ -145,7 +142,5 @@ let run_until t horizon =
       Vessel_obs.Probe.counter ~ts:t.clock ~track:Vessel_obs.Track.Engine
         ~name:Vessel_obs.Tag.sim_events ~value:t.executed
   end
-
-let run_for t d = run_until t (t.clock + d)
 
 let pending t = Event_queue.length t.queue

@@ -18,10 +18,6 @@ val rng : t -> Rng.t
 (** The root RNG. Components should [Rng.split] this at setup time rather
     than drawing from it during the run. *)
 
-val seed : t -> int
-(** The seed this simulation was created with — everything needed to
-    replay it (fault-injection verdicts print it for one-command repro). *)
-
 val schedule : t -> at:Time.t -> (t -> unit) -> Event_queue.handle
 (** Run a callback at absolute time [at]. Scheduling in the past raises
     [Invalid_argument]. *)
@@ -67,9 +63,6 @@ val cancel : t -> Event_queue.handle -> unit
 val run_until : t -> Time.t -> unit
 (** Execute events in order until the queue is empty or the next event is
     strictly after the horizon, then set the clock to the horizon. *)
-
-val run_for : t -> Time.t -> unit
-(** [run_until] relative to the current time. *)
 
 val step : t -> bool
 (** Execute the single earliest event. Returns [false] when the queue is

@@ -1,7 +1,6 @@
 type t = int
 
 let zero = 0
-let ns x = x
 let us x = int_of_float (Float.round (x *. 1_000.))
 let ms x = int_of_float (Float.round (x *. 1_000_000.))
 let s x = int_of_float (Float.round (x *. 1_000_000_000.))

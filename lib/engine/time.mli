@@ -10,9 +10,6 @@ type t = int
 
 val zero : t
 
-val ns : int -> t
-(** [ns x] is [x] nanoseconds. *)
-
 val us : float -> t
 (** [us x] is [x] microseconds, rounded to the nearest nanosecond. *)
 

@@ -262,26 +262,3 @@ let normalized_total ~m ~l_max_rps ~b_max_ns_per_ns =
   let b_rate = float_of_int m.b_completed_ns /. float_of_int m.window_ns in
   let b = if b_max_ns_per_ns <= 0. then 0. else b_rate /. b_max_ns_per_ns in
   l +. b
-
-let goodput ?(seed = 42) ?(cores = 8) ?(p999_limit_us = 60.) ~sched ~l_app
-    ~l_max_rps () =
-  (* Coarse-to-fine bracket over load fractions of the run-alone
-     capacity. *)
-  let ok fraction =
-    let m =
-      run_colocation ~seed ~cores ~sched ~l_app
-        ~rate_rps:(fraction *. l_max_rps) ()
-    in
-    if m.p999_us <= p999_limit_us then Some m.achieved_rps else None
-  in
-  let rec search lo hi best steps =
-    if steps = 0 then best
-    else begin
-      let mid = (lo +. hi) /. 2. in
-      match ok mid with
-      | Some rps -> search mid hi (Float.max best rps) (steps - 1)
-      | None -> search lo mid best (steps - 1)
-    end
-  in
-  let best = match ok 0.3 with Some rps -> rps | None -> 0. in
-  search 0.3 1.05 best 5

@@ -109,16 +109,3 @@ val b_alone_capacity : ?seed:int -> ?cores:int -> ?b_workers:int ->
 val normalized_total :
   m:measurement -> l_max_rps:float -> b_max_ns_per_ns:float -> float
 (** The paper's total normalized throughput (footnote 1). *)
-
-val goodput :
-  ?seed:int ->
-  ?cores:int ->
-  ?p999_limit_us:float ->
-  sched:sched_kind ->
-  l_app:l_app ->
-  l_max_rps:float ->
-  unit ->
-  float
-(** Figure 12's metric: the highest offered load (found by bracketed
-    search over load fractions) whose p999 stays within the limit, with
-    the B-app colocated. *)

@@ -85,5 +85,4 @@ let reset_counters t =
   t.accesses <- 0;
   t.misses <- 0
 
-let sets t = t.nsets
 let capacity t = t.nsets * t.assoc * t.line

@@ -31,5 +31,4 @@ val misses : t -> int
 val miss_rate : t -> float
 val reset_counters : t -> unit
 
-val sets : t -> int
 val capacity : t -> int

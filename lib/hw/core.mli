@@ -23,13 +23,3 @@ val umwait : t -> Umwait.t
 
 val rng : t -> Vessel_engine.Rng.t
 (** The core's private jitter stream. *)
-
-val note_stall : t -> int -> unit
-(** Record one injected transient stall of [ns] (fault injection). The
-    time itself is charged to the scheduler's overhead category by the
-    executor; this is pure observability. *)
-
-val stalls : t -> int
-val stalled_ns : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -69,8 +69,6 @@ let vessel_park_switch t =
   + (2 * t.gate_stack_switch)
   + t.gate_dispatch + t.context_save + t.context_restore + (2 * t.queue_op)
 
-let vessel_preempt_extra t = t.uintr_delivery + t.uintr_handler_entry + t.uiret
-
 let caladan_park_switch t =
   t.syscall + t.kernel_switch + t.page_table_switch + t.kernel_restore
 

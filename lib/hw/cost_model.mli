@@ -63,10 +63,6 @@ val vessel_park_switch : t -> int
 (** Park-initiated uProcess switch: enter call gate, save context, pop the
     next thread, restore, leave gate. Calibrated to ~161 ns. *)
 
-val vessel_preempt_extra : t -> int
-(** Additional cost when the switch is Uintr-initiated rather than
-    park-initiated (delivery + handler entry + uiret). *)
-
 val caladan_park_switch : t -> int
 (** Caladan core reallocation when the victim parked voluntarily:
     kernel-mediated; calibrated to ~2.1 us. *)

@@ -76,6 +76,4 @@ let send_tagged t ~to_core ~tag ~a ~b =
     ignore (Sim.schedule_tagged_after t.sim ~delay:(delay + spurious) ~tag ~a ~b)
   end
 
-let send_cost t = t.cost.Cost_model.ioctl
-let flight_time t = t.cost.Cost_model.ipi_flight
 let sent t = t.sent

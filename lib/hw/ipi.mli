@@ -27,10 +27,5 @@ val send_tagged : t -> to_core:int -> tag:int -> a:int -> b:int -> unit
     [Sim.dispatch_tag]). Spurious duplicate deliveries are always
     tagged, matching {!send}'s unwrapped duplicates. *)
 
-val send_cost : t -> int
-(** Sender-side busy time (the ioctl syscall). *)
-
-val flight_time : t -> int
-
 val sent : t -> int
 (** Number of IPIs sent so far (observability for tests/experiments). *)

@@ -18,7 +18,6 @@ type prot = { read : bool; write : bool; exec : bool }
 val prot_none : prot
 val prot_r : prot
 val prot_rw : prot
-val prot_rx : prot
 val prot_x : prot
 (** Executable-only: the text-region setting. *)
 

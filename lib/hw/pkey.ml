@@ -22,5 +22,4 @@ let uprocess_key i =
                        limit of one scheduling domain" i max_uprocesses);
   first_uprocess + i
 
-let equal = Int.equal
 let pp fmt t = Format.fprintf fmt "pkey%d" t

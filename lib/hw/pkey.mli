@@ -36,5 +36,4 @@ val uprocess_key : int -> t
 (** [uprocess_key i] is the key of the [i]-th uProcess slot (0-based).
     Raises when [i >= max_uprocesses]. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

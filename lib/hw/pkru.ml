@@ -35,16 +35,3 @@ let can_write t key = perm t key = Read_write
 let of_int i = i land mask32
 let to_int t = t
 let equal = Int.equal
-
-let pp fmt t =
-  Format.fprintf fmt "PKRU(0x%08x:" t;
-  for k = 0 to Pkey.count - 1 do
-    let c =
-      match perm t (Pkey.of_int k) with
-      | Read_write -> 'w'
-      | Read_only -> 'r'
-      | No_access -> '-'
-    in
-    Format.fprintf fmt "%c" c
-  done;
-  Format.fprintf fmt ")"

@@ -38,4 +38,3 @@ val of_int : int -> t
 val to_int : t -> int
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

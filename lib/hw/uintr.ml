@@ -60,8 +60,6 @@ let set_running t r running =
   if running && (not was) && (not r.suppressed) && r.pir <> 0L then
     t.notify r
 
-let is_running r = r.running
-
 let set_suppressed t r suppressed =
   let was = r.suppressed in
   r.suppressed <- suppressed;

@@ -47,8 +47,6 @@ val set_running : t -> receiver -> bool -> unit
 (** Transition the receiver on/off CPU. Turning it on with a non-empty PIR
     fires [notify] (the deferred-delivery path). *)
 
-val is_running : receiver -> bool
-
 val set_suppressed : t -> receiver -> bool -> unit
 (** The SN bit: when set, senduipi posts but never notifies. Clearing it
     with a non-empty PIR notifies if running. *)

@@ -16,10 +16,6 @@ let is_aligned a n =
   check_pow2 n;
   a land (n - 1) = 0
 
-let page_align_up a = align_up a Vessel_hw.Page.size
-let page_align_down a = align_down a Vessel_hw.Page.size
-
 let pp fmt a = Format.fprintf fmt "0x%x" a
 
-let kib n = n * 1024
 let mib n = n * 1024 * 1024

@@ -10,11 +10,7 @@ val align_down : t -> int -> t
 
 val is_aligned : t -> int -> bool
 
-val page_align_up : t -> t
-val page_align_down : t -> t
-
 val pp : Format.formatter -> t -> unit
 (** Hex rendering. *)
 
-val kib : int -> int
 val mib : int -> int

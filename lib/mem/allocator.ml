@@ -5,7 +5,6 @@ type t = {
   free_lists : (int, Addr.t list ref) Hashtbl.t;
   live : (Addr.t, int) Hashtbl.t;
   mutable live_bytes : int;
-  mutable total_allocs : int;
 }
 
 (* jemalloc-style classes: exact multiples of the 16-byte quantum up to
@@ -33,7 +32,6 @@ let create ?(reserve = 0) region =
     free_lists = Hashtbl.create 32;
     live = Hashtbl.create 256;
     live_bytes = 0;
-    total_allocs = 0;
   }
 
 let free_list t cls =
@@ -47,7 +45,6 @@ let free_list t cls =
 let commit t addr cls =
   Hashtbl.replace t.live addr cls;
   t.live_bytes <- t.live_bytes + cls;
-  t.total_allocs <- t.total_allocs + 1;
   Ok addr
 
 let malloc t size =
@@ -106,8 +103,6 @@ let usable_size t addr =
         (Printf.sprintf "Allocator.usable_size: 0x%x is not live" addr)
 
 let live_bytes t = t.live_bytes
-let live_count t = Hashtbl.length t.live
-let total_allocs t = t.total_allocs
 let capacity t = t.region.Region.len - t.reserve
 let high_water t = t.bump
 let region t = t.region

@@ -31,9 +31,6 @@ val size_class : int -> int
 val live_bytes : t -> int
 (** Sum of size classes of live allocations. *)
 
-val live_count : t -> int
-val total_allocs : t -> int
-
 val capacity : t -> int
 (** Usable bytes (region length minus reserve). *)
 

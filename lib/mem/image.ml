@@ -42,10 +42,5 @@ let make ?(pie = true) ?(data_size = 65536) ?(bss_size = 16384) ?(entry = 0)
 
 let text_size t = Bytes.length t.text
 
-let total_load_size t =
-  let page = Vessel_hw.Page.size in
-  let align n = (n + page - 1) / page * page in
-  align (text_size t) + align t.data_size + align t.bss_size
-
 let library ~name ~text_size rng =
   make ~name ~text_size ~data_size:Vessel_hw.Page.size ~bss_size:0 rng

@@ -37,8 +37,5 @@ val make :
 
 val text_size : t -> int
 
-val total_load_size : t -> int
-(** text + data + bss, page-aligned per segment. *)
-
 val library : name:string -> text_size:int -> Vessel_engine.Rng.t -> t
 (** A clean PIE shared library (no data segment to speak of). *)

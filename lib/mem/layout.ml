@@ -89,11 +89,5 @@ let all_regions t =
 let region_of_addr t a =
   List.find_opt (fun r -> Region.contains r a) (all_regions t)
 
-let total_span t =
-  let rs = all_regions t in
-  match (rs, List.rev rs) with
-  | first :: _, last :: _ -> Region.end_ last - first.Region.base
-  | _ -> 0
-
 let pp fmt t =
   List.iter (fun r -> Format.fprintf fmt "%a@." Region.pp r) (all_regions t)

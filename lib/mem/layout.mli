@@ -37,7 +37,4 @@ val all_regions : t -> Region.t list
 
 val region_of_addr : t -> Addr.t -> Region.t option
 
-val total_span : t -> int
-(** Bytes from the first region's base to the last region's end. *)
-
 val pp : Format.formatter -> t -> unit

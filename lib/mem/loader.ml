@@ -157,4 +157,3 @@ let allocator t =
 let text_used t = t.text_cursor - t.text_region.Region.base
 let data_used t = t.data_cursor - t.data_region.Region.base
 let slide t = t.aslr_slide
-let program t = t.program

@@ -58,4 +58,3 @@ val allocator : t -> Allocator.t
     region above the program's data/BSS. *)
 
 val text_used : t -> int
-val program : t -> loaded option

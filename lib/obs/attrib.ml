@@ -95,7 +95,6 @@ let record t ~lane c ts =
   end
 
 let with_lane t ~lane f = Request.with_recorder (Some (record t ~lane)) f
-let install t ~lane = Request.set_recorder (Some (record t ~lane))
 
 (* Sink adapter: replays req.* trace instants into a lane — lets tests
    drive attribution from a synthetic event stream, checker-style. The

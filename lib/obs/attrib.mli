@@ -25,9 +25,6 @@ val with_lane : t -> lane:int -> (unit -> 'a) -> 'a
 (** Run [f] with this instance's lane recorder installed on the calling
     domain (scoped; restores the previous recorder). *)
 
-val install : t -> lane:int -> unit
-(** Unscoped recorder install — prefer {!with_lane}. *)
-
 val record : t -> lane:int -> int -> int -> unit
 (** [record t ~lane context ts] — the raw recorder (exposed for bench). *)
 

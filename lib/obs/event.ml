@@ -44,10 +44,6 @@ let name = function
       Some name
   | Span_end _ -> None
 
-let pp_arg fmt = function
-  | Int i -> Format.pp_print_int fmt i
-  | Str s -> Format.fprintf fmt "%S" s
-
 let pp fmt = function
   | Process { name } -> Format.fprintf fmt "process %s" name
   | Span_begin { ts; track; name; _ } ->

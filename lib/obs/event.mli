@@ -43,5 +43,4 @@ val ts : t -> int
 
 val track : t -> Track.t option
 val name : t -> string option
-val pp_arg : Format.formatter -> arg -> unit
 val pp : Format.formatter -> t -> unit

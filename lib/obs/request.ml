@@ -34,18 +34,6 @@ let phase_index = function
   | Complete -> 6
   | Done -> 7
 
-let phases = [| Arrive; Lb; Enqueue; Wake; Dispatch; Preempt; Complete; Done |]
-
-let phase_name = function
-  | Arrive -> "arrive"
-  | Lb -> "lb"
-  | Enqueue -> "enqueue"
-  | Wake -> "wake"
-  | Dispatch -> "dispatch"
-  | Preempt -> "preempt"
-  | Complete -> "complete"
-  | Done -> "done"
-
 (* Trace-instant names, indexed by phase. *)
 let tags =
   [|
@@ -64,13 +52,10 @@ type t = int
 let none = 0
 let v ~rid phase = (rid lsl 3) lor phase_index phase
 let rid c = c lsr 3
-let phase c = phases.(c land 7)
-let phase_i c = c land 7
 let with_phase c p = (c land -8) lor phase_index p
 (* Cold-path conveniences; hot call sites read [!Probe.req_on] directly
    instead — without flambda these cross-module calls don't inline. *)
 let active () = !Probe.attrib_on
-let live () = !Probe.req_on
 
 (* Hand-off slot: the workload step that pops a request stashes its
    context here; [Uthread.next_action] takes it and binds it to the
@@ -91,8 +76,6 @@ let recorder_key : (int -> int -> unit) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let recorder_slot () = Domain.DLS.get recorder_key
-let set_recorder r = recorder_slot () := r
-
 let with_recorder r f =
   let slot = recorder_slot () in
   let saved = !slot in

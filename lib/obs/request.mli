@@ -21,7 +21,6 @@ type phase =
   | Done  (** response observed end-to-end *)
 
 val phase_index : phase -> int
-val phase_name : phase -> string
 
 val tags : string array
 (** Trace-instant names ([req.arrive] .. [req.done]), indexed by
@@ -33,15 +32,10 @@ type t = int
 val none : t
 val v : rid:int -> phase -> t
 val rid : t -> int
-val phase : t -> phase
-val phase_i : t -> int
 val with_phase : t -> phase -> t
 
 val active : unit -> bool
 (** [!Probe.attrib_on] — attribution recording is live. *)
-
-val live : unit -> bool
-(** Attribution or tracing is live; the hot-path guard for [mark]. *)
 
 (** {2 Thread binding} *)
 
@@ -54,11 +48,10 @@ val take : unit -> t
 
 (** {2 Recording} *)
 
-val set_recorder : (int -> int -> unit) option -> unit
-(** Install [f context ts] as this domain's attribution recorder. *)
-
 val with_recorder : (int -> int -> unit) option -> (unit -> 'a) -> 'a
-(** Scoped {!set_recorder}; restores the previous recorder on exit. *)
+(** [with_recorder r f] installs [r] (called as [r context ts]) as this
+    domain's attribution recorder while [f] runs, then restores the
+    previous recorder. *)
 
 val stamp : t -> ts:int -> unit
 (** Record a transition with the current recorder (no trace output). *)

@@ -14,6 +14,4 @@ let name = function
   | Core i -> Printf.sprintf "core %d" i
   | Uproc s -> Printf.sprintf "uproc %d" s
 
-let compare a b = Int.compare (tid a) (tid b)
-let equal a b = tid a = tid b
 let pp fmt t = Format.pp_print_string fmt (name t)

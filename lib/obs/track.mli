@@ -7,6 +7,4 @@ val tid : t -> int
 (** Stable Perfetto thread id — deterministic across runs. *)
 
 val name : t -> string
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

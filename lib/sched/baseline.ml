@@ -637,6 +637,5 @@ let system t =
   }
 
 let exec t = get_exec t
-let granted_cores t ~app_id = (app_state t app_id).granted
 let reallocations t = t.reallocs
 let preempt_stages t = preempt_stages_of (Hw.Machine.cost t.machine)

@@ -51,8 +51,6 @@ val system : t -> Sched_intf.system
 
 val exec : t -> Vessel_uprocess.Exec.t
 
-val granted_cores : t -> app_id:int -> int
-
 val reallocations : t -> int
 (** Cross-application core reallocations performed. *)
 

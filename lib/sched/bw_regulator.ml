@@ -45,5 +45,3 @@ let adjust t ~now =
     t.last_bytes <- bytes;
     t.last_at <- now
   end
-
-let current_fraction t = t.fraction

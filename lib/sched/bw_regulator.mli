@@ -32,5 +32,3 @@ val wrap :
 val adjust : t -> now:Vessel_engine.Time.t -> unit
 (** Feedback pass: compare achieved bandwidth with the target and adapt
     the duty cycle. Call periodically (e.g. every ms). *)
-
-val current_fraction : t -> float

@@ -278,5 +278,3 @@ let system t =
     stop = (fun () -> stop t);
     switch_latencies = (fun () -> None);
   }
-
-let vruntime t th = (tstate t th).vr

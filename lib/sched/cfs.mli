@@ -28,6 +28,3 @@ type t
 val make : ?params:params -> machine:Vessel_hw.Machine.t -> unit -> t
 
 val system : t -> Sched_intf.system
-
-val vruntime : t -> Vessel_uprocess.Uthread.t -> float
-(** Exposed for tests. *)

@@ -84,4 +84,3 @@ let set_fraction q fraction =
   q.budget <- int_of_float (Float.round (fraction *. float_of_int q.period))
 
 let throttled q = q.throttled
-let consumed_in_period q = q.consumed

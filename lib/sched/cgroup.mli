@@ -47,4 +47,3 @@ val set_fraction : quota -> float -> unit
     VESSEL's feedback regulator. *)
 
 val throttled : quota -> bool
-val consumed_in_period : quota -> int

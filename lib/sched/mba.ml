@@ -6,5 +6,3 @@ let achieved_fraction ~setting =
     (* Floor near 0.30 of peak, sub-linear approach to 1: the programmed
        delay values cannot slow the prefetch/MLP machinery proportionally. *)
     Float.min 1. (0.30 +. (0.72 *. setting))
-
-let delay_multiplier ~setting = 1. /. achieved_fraction ~setting

@@ -13,7 +13,3 @@ val achieved_fraction : setting:float -> float
 (** [setting] in [0, 1] (the programmed throttle). Result in [0, 1]: the
     fraction of unthrottled bandwidth actually delivered. Monotone,
     floored near 0.3, exact only at 1.0. *)
-
-val delay_multiplier : setting:float -> float
-(** The slowdown MBA imposes on a memory-bound segment:
-    [1 /. achieved_fraction]. *)

@@ -29,18 +29,12 @@ val default_params : params
 type t
 
 val make :
-  ?params:params ->
-  ?slots:int ->
-  ?cores:int list ->
-  machine:Vessel_hw.Machine.t ->
-  unit ->
-  t
-(** [cores] restricts the domain to a subset of the machine (default:
-    all); workers are placed, scanned and preempted only there, so
-    several domains — or a domain and the Linux scheduler — can share one
-    machine (section 3.1). *)
+  ?params:params -> ?slots:int -> machine:Vessel_hw.Machine.t -> unit -> t
+(** One domain managing every core of [machine]. Raises
+    [Invalid_argument] if [params] has a negative [be_preempt_delay] or
+    [overload_delay]: the scan relies on an empty queue (delay 0) never
+    triggering either. *)
 
-val manager : t -> Vessel_uprocess.Manager.t
 val runtime : t -> Vessel_uprocess.Runtime.t
 
 val system : t -> Sched_intf.system
@@ -50,12 +44,3 @@ val system : t -> Sched_intf.system
 
 val preempts_sent : t -> int
 (** Number of Uintr preemptions issued by the scheduler loop. *)
-
-val set_backlog_probe : t -> app_id:int -> (unit -> int) -> unit
-(** Expose an application's dataplane queue depth to the scheduler
-    (section 5.2.5: "the software queues of these dataplane libraries are
-    also exposed to the scheduler to assist in making scheduling
-    decisions"). Each scan, an app whose probe reports [d] waiting items
-    gets up to [d] additional parked workers woken — arrival
-    notifications wake one worker; the probe scales the wake-up to the
-    backlog. *)

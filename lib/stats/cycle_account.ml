@@ -55,12 +55,6 @@ let merge ~into src =
   into.kernel <- into.kernel + src.kernel;
   into.idle <- into.idle + src.idle
 
-let clear t =
-  Hashtbl.reset t.apps;
-  t.runtime <- 0;
-  t.kernel <- 0;
-  t.idle <- 0
-
 let pp fmt t =
   Format.fprintf fmt "app=%a runtime=%a kernel=%a idle=%a" Time.pp
     (app_total t) Time.pp t.runtime Time.pp t.kernel Time.pp t.idle

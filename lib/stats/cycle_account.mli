@@ -36,6 +36,4 @@ val cores_worth :
 
 val merge : into:t -> t -> unit
 
-val clear : t -> unit
-
 val pp : Format.formatter -> t -> unit

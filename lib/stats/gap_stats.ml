@@ -12,14 +12,12 @@
    identity checkable after the fact. *)
 
 type thread = {
-  name : string;
   inner : Histogram.t;
   outer : Histogram.t;
   mutable max_inner : int;
   mutable max_outer : int;
   mutable run_ns : int;
   mutable gap_ns : int;
-  mutable sleep_ns : int;
   mutable windows : int;
 }
 
@@ -27,17 +25,15 @@ type t = { mutable threads : thread list (* newest first *) }
 
 let create () = { threads = [] }
 
-let add_thread t ~name =
+let add_thread t =
   let th =
     {
-      name;
       inner = Histogram.create ();
       outer = Histogram.create ();
       max_inner = 0;
       max_outer = 0;
       run_ns = 0;
       gap_ns = 0;
-      sleep_ns = 0;
       windows = 0;
     }
   in
@@ -57,17 +53,12 @@ let record_outer th gap =
   if gap > th.max_outer then th.max_outer <- gap
 
 let add_run th ns = th.run_ns <- th.run_ns + ns
-let add_sleep th ns = th.sleep_ns <- th.sleep_ns + ns
 let add_window th = th.windows <- th.windows + 1
 
-let thread_name th = th.name
-let inner th = th.inner
-let outer th = th.outer
 let max_inner th = th.max_inner
 let max_outer th = th.max_outer
 let run_ns th = th.run_ns
 let gap_ns th = th.gap_ns
-let sleep_ns th = th.sleep_ns
 let windows th = th.windows
 
 let max_gap t =

@@ -28,7 +28,7 @@ type thread
 
 val create : unit -> t
 
-val add_thread : t -> name:string -> thread
+val add_thread : t -> thread
 (** Register a thread; returned handle receives the samples below. *)
 
 val threads : t -> thread list
@@ -42,24 +42,17 @@ val record_outer : thread -> int -> unit
 val add_run : thread -> int -> unit
 (** Account [ns] of on-CPU compute (chunk lengths). *)
 
-val add_sleep : thread -> int -> unit
-(** Account [ns] of voluntary sleep between windows. *)
-
 val add_window : thread -> unit
 (** Count one completed spin window. *)
 
 (** {1 Per-thread readouts} *)
 
-val thread_name : thread -> string
-val inner : thread -> Histogram.t
-val outer : thread -> Histogram.t
 val max_inner : thread -> int
 val max_outer : thread -> int
 val run_ns : thread -> int
 val gap_ns : thread -> int
 (** Sum of all recorded gaps (inner + outer), exact. *)
 
-val sleep_ns : thread -> int
 val windows : thread -> int
 
 (** {1 Aggregates} *)

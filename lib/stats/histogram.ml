@@ -106,13 +106,3 @@ let clear t =
   t.total <- 0.;
   t.min_v <- Stdlib.max_int;
   t.max_v <- 0
-
-let pp_summary fmt t =
-  Format.fprintf fmt
-    "n=%d mean=%.3fus p50=%.3fus p90=%.3fus p99=%.3fus p999=%.3fus max=%.3fus"
-    t.count (mean t /. 1e3)
-    (float_of_int (percentile t 50.) /. 1e3)
-    (float_of_int (percentile t 90.) /. 1e3)
-    (float_of_int (percentile t 99.) /. 1e3)
-    (float_of_int (percentile t 99.9) /. 1e3)
-    (float_of_int t.max_v /. 1e3)

@@ -37,7 +37,3 @@ val merge : into:t -> t -> unit
     match. *)
 
 val clear : t -> unit
-
-val pp_summary : Format.formatter -> t -> unit
-(** One line: count, mean, p50/p90/p99/p999, max — the shape of the paper's
-    Table 1 rows. *)

@@ -13,7 +13,6 @@ type hooks = {
   on_park : core:int -> Uthread.t -> unit;
   on_preempted : core:int -> Uthread.t -> unit;
   on_exit : core:int -> Uthread.t -> unit;
-  on_idle : core:int -> unit;
   switch_overhead :
     core:Vessel_hw.Core.t -> kind:switch_kind -> next:Uthread.t option -> int;
   overhead_category : Vessel_stats.Cycle_account.category;
@@ -28,7 +27,6 @@ let default_hooks () =
     on_park = (fun ~core:_ _ -> ());
     on_preempted = (fun ~core:_ _ -> ());
     on_exit = (fun ~core:_ _ -> ());
-    on_idle = (fun ~core:_ -> ());
     switch_overhead = (fun ~core:_ ~kind:_ ~next:_ -> 0);
     overhead_category = Stats.Cycle_account.Runtime;
     syscall_category = Stats.Cycle_account.Kernel;
@@ -149,7 +147,6 @@ let injected_stall t ~core =
   else begin
     let s = inj.Hw.Inject.core_stall () in
     if s > 0 then begin
-      Hw.Core.note_stall (hw_core t core) s;
       if !Probe.on then
         Probe.instant ~ts:(now t) ~track:(core_track core)
           ~name:Tag.inject_stall
@@ -210,8 +207,7 @@ and land_switch t ~core ~next =
           if !Probe.on then
             Probe.span_begin ~ts:(now t) ~track:(core_track core)
               ~name:Tag.idle ();
-          Hw.Umwait.enter (Hw.Core.umwait (hw_core t core)) ~at:(now t);
-          t.hooks.on_idle ~core)
+          Hw.Umwait.enter (Hw.Core.umwait (hw_core t core)) ~at:(now t))
 
 and start_thread t ~core th =
   Uthread.set_state th (Uthread.Running core);
@@ -445,7 +441,3 @@ let stop t ~core =
   | Idle _ -> Hw.Umwait.wake (Hw.Core.umwait (hw_core t core)) ~at:(now t)
   | _ -> ());
   set_cstate t ~core Stopped
-
-let running_threads t =
-  Array.to_list t.states
-  |> List.filter_map (function Executing { th; _ } -> Some th | _ -> None)

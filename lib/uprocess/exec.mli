@@ -31,8 +31,6 @@ type hooks = {
       (** The thread was preempted; policy requeues it. State is
           [Ready]. *)
   on_exit : core:int -> Uthread.t -> unit;
-  on_idle : core:int -> unit;
-      (** [pick_next] returned [None]; the core enters UMWAIT. *)
   switch_overhead :
     core:Vessel_hw.Core.t -> kind:switch_kind -> next:Uthread.t option -> int;
       (** ns of overhead for this transition (jitter included by the
@@ -83,5 +81,3 @@ val notify : t -> core:int -> unit
 val stop : t -> core:int -> unit
 (** Halt the core's loop after the current event (used at experiment
     teardown). *)
-
-val running_threads : t -> Uthread.t list

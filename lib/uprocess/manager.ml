@@ -47,8 +47,8 @@ let create ?(slots = Hw.Pkey.max_uprocesses) ~machine () =
 let runtime t = t.runtime
 let machine t = t.machine
 let smas t = t.smas
-let start ?cores t = Runtime.start ?cores t.runtime
-let stop ?cores t = Runtime.stop ?cores t.runtime
+let start t = Runtime.start t.runtime
+let stop t = Runtime.stop t.runtime
 
 let install t ~slot ~name ~loader ~recipe =
   match

@@ -29,8 +29,8 @@ val runtime : t -> Runtime.t
 val machine : t -> Vessel_hw.Machine.t
 val smas : t -> Vessel_mem.Smas.t
 
-val start : ?cores:int list -> t -> unit
-val stop : ?cores:int list -> t -> unit
+val start : t -> unit
+val stop : t -> unit
 
 val create_uprocess :
   t ->

@@ -136,4 +136,3 @@ let function_id t ~reader_pkru ~index =
         | n -> Ok (Some (n - 1)))
 
 let vector_addr t = t.vector
-let task_map_addr t = t.task_map

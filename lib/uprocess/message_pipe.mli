@@ -55,5 +55,3 @@ val function_id :
 val vector_addr : t -> Vessel_mem.Addr.t
 (** Base address of the vector — exposed so tests can attempt (and fail)
     direct writes with a uProcess PKRU. *)
-
-val task_map_addr : t -> Vessel_mem.Addr.t

@@ -5,11 +5,11 @@ type command =
   | Kill_thread of int
   | Fault of { slot : int; reason : string }
 
-type t = { queues : command Queue.t array; mutable pushed : int }
+type t = { queues : command Queue.t array }
 
 let create ~ncores =
   if ncores <= 0 then invalid_arg "Signal.create: ncores must be positive";
-  { queues = Array.init ncores (fun _ -> Queue.create ()); pushed = 0 }
+  { queues = Array.init ncores (fun _ -> Queue.create ()) }
 
 let check t core =
   if core < 0 || core >= Array.length t.queues then
@@ -17,7 +17,6 @@ let check t core =
 
 let push t ~core cmd =
   check t core;
-  t.pushed <- t.pushed + 1;
   Queue.push cmd t.queues.(core)
 
 let drain t ~core =
@@ -41,5 +40,3 @@ let pending t ~core =
 
 let broadcast_fault t ~cores ~slot ~reason =
   List.iter (fun core -> push t ~core (Fault { slot; reason })) cores
-
-let pushed_total t = t.pushed

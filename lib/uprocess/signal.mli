@@ -32,6 +32,3 @@ val broadcast_fault :
   t -> cores:int list -> slot:int -> reason:string -> unit
 (** Push a [Fault] command to each listed core (the cores currently
     running threads of the faulty uProcess). *)
-
-val pushed_total : t -> int
-(** Commands pushed since creation (observability). *)

@@ -31,10 +31,6 @@ let read t ~slot ~fd =
   count t;
   check t ~slot ~fd
 
-let write t ~slot ~fd =
-  count t;
-  check t ~slot ~fd
-
 let close t ~slot ~fd =
   count t;
   match check t ~slot ~fd with
@@ -52,8 +48,6 @@ let mprotect t ~slot:_ ~exec =
   count t;
   if exec then Error `Exec_mapping_prohibited else Ok ()
 
-let owner t ~fd = Hashtbl.find_opt t.owners fd
-
 let close_all t ~slot =
   let fds =
     Hashtbl.fold (fun fd s acc -> if s = slot then fd :: acc else acc) t.owners []
@@ -66,8 +60,3 @@ let close_all t ~slot =
   List.length fds
 
 let calls t = t.calls
-
-let error_to_string = function
-  | `EBADF -> "EBADF"
-  | `EACCES -> "EACCES"
-  | `Exec_mapping_prohibited -> "executable mapping prohibited"

@@ -20,7 +20,6 @@ val openf : t -> slot:int -> path:string -> int
 (** Returns a new fd owned by [slot]. *)
 
 val read : t -> slot:int -> fd:int -> (unit, error) result
-val write : t -> slot:int -> fd:int -> (unit, error) result
 
 val close : t -> slot:int -> fd:int -> (unit, error) result
 (** Only the owner may close. *)
@@ -32,12 +31,8 @@ val mmap :
 val mprotect :
   t -> slot:int -> exec:bool -> (unit, error) result
 
-val owner : t -> fd:int -> int option
-
 val close_all : t -> slot:int -> int
 (** Close every descriptor of a dying uProcess; returns how many. *)
 
 val calls : t -> int
 (** Total syscalls proxied (observability / cycle accounting hooks). *)
-
-val error_to_string : error -> string

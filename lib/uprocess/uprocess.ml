@@ -24,12 +24,3 @@ let threads t = List.rev t.threads
 
 let live_threads t =
   List.length (List.filter (fun th -> Uthread.state th <> Uthread.Exited) t.threads)
-
-let state_name = function
-  | Booting -> "booting"
-  | Running -> "running"
-  | Killed -> "killed"
-
-let pp fmt t =
-  Format.fprintf fmt "uproc%d(%s, %s, %d threads)" t.slot t.name
-    (state_name t.state) (List.length t.threads)

@@ -30,5 +30,3 @@ val threads : t -> Uthread.t list
 
 val live_threads : t -> int
 (** Threads not [Exited]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -107,6 +107,3 @@ let has_remainder t = t.remainder <> None
 let discard_remainder t = t.remainder <- None
 let total_app_ns t = t.app_ns
 let charge t d = t.app_ns <- t.app_ns + d
-
-let pp fmt t =
-  Format.fprintf fmt "%s(tid=%d app=%d uproc=%d)" t.name t.tid t.app t.uproc

@@ -100,5 +100,3 @@ val total_app_ns : t -> int
     {!charge}). *)
 
 val charge : t -> int -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -335,8 +335,6 @@ let start t ~rate_rps ~until =
   if rate_rps <= 0. then invalid_arg "Frontend.start: rate must be positive";
   Openloop.Arrivals.start (arrivals t) ~rate_rps ~until
 
-let stop t = Openloop.Arrivals.stop (arrivals t)
-
 let open_window t ~at =
   t.window_start <- at;
   t.n_offered <- 0;
@@ -360,7 +358,6 @@ let schedule_rolling_restart t ~start ~gap ~down_for =
              t.up.(i) <- true)))
     t.backends
 
-let backend_count t = Array.length t.backends
 let offered t = t.n_offered
 let served t = t.n_served
 let dropped t = t.n_dropped

@@ -55,8 +55,6 @@ val create :
 val start : t -> rate_rps:float -> until:Vessel_engine.Time.t -> unit
 (** Aggregate client arrival rate across the whole fleet. *)
 
-val stop : t -> unit
-
 val open_window : t -> at:Vessel_engine.Time.t -> unit
 (** Reset all measurements; record only requests arriving at/after
     [at]. *)
@@ -76,7 +74,6 @@ val schedule_rolling_restart :
 
 (** {2 Measurements} (window-scoped unless noted) *)
 
-val backend_count : t -> int
 val offered : t -> int
 val served : t -> int
 val dropped : t -> int

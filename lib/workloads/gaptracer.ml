@@ -73,7 +73,6 @@ let chunk_done t st ts =
     if !Probe.metrics_on then Probe.incr "gaps.windows";
     let next_wake = ts + t.sleep_ns in
     if next_wake < t.until then begin
-      Stats.Gap_stats.add_sleep st.gs t.sleep_ns;
       st.wake_at <- next_wake;
       st.last_end <- -1;
       st.left <- t.chunks;
@@ -132,7 +131,7 @@ let make ~sim ~sys ~app_id ~threads ?(chunk_ns = 1_000) ?(chunks = 50)
             slot = i;
             app_id = app;
             track = Track.Engine (* patched below once the tid is known *);
-            gs = Stats.Gap_stats.add_thread t.stats ~name;
+            gs = Stats.Gap_stats.add_thread t.stats;
             wake_at = -1;
             last_end = -1;
             left = 0;
@@ -149,7 +148,6 @@ let make ~sim ~sys ~app_id ~threads ?(chunk_ns = 1_000) ?(chunks = 50)
   t
 
 let stats t = t.stats
-let thread_count t = Array.length t.threads
 
 let stamps t =
   Array.map (fun st -> List.rev st.windows) t.threads

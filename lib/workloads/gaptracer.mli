@@ -47,8 +47,6 @@ val make :
 val stats : t -> Vessel_stats.Gap_stats.t
 (** Per-thread gap ledgers and cross-thread aggregates. *)
 
-val thread_count : t -> int
-
 val stamps : t -> (int * int list) list array
 (** Per thread (in slot order): completed windows oldest-first, each as
     [(wake instant, chunk completion stamps oldest-first)]. Empty unless

@@ -61,8 +61,6 @@ module Arrivals = struct
     t.gap_dist <- Dist.exponential ~mean:(1e9 /. rate_rps);
     t.until <- until;
     schedule_next t ~epoch:t.epoch
-
-  let stop t = t.epoch <- t.epoch + 1
 end
 
 (* Queued requests pack (request id, arrival stamp) into one int:
@@ -215,8 +213,6 @@ let start t ~rate_rps ~until =
   if rate_rps <= 0. then invalid_arg "Openloop.start: rate must be positive";
   Arrivals.start t.arrivals ~rate_rps ~until
 
-let stop_arrivals t = Arrivals.stop t.arrivals
-
 let start_bursty t ~base_rps ~burst_rps ~burst_len ~period ~until =
   if base_rps <= 0. || burst_rps <= 0. then
     invalid_arg "Openloop.start_bursty: rates must be positive";
@@ -245,7 +241,6 @@ let open_window t ~at =
 
 let offered t = t.offered
 let served t = t.served
-let pending t = Queue.length t.requests
 let latencies t = t.latencies
 
 let throughput_rps t ~now =

@@ -30,8 +30,6 @@ module Arrivals : sig
   val start : t -> rate_rps:float -> until:Vessel_engine.Time.t -> unit
   (** Begin Poisson arrivals at [rate_rps] until the given simulated
       time; callable again to change the rate (stale chains die). *)
-
-  val stop : t -> unit
 end
 
 type t
@@ -84,8 +82,6 @@ val start_bursty :
     [base_rps], spiking to [burst_rps] for [burst_len] at the start of
     every [period]. *)
 
-val stop_arrivals : t -> unit
-
 val open_window : t -> at:Vessel_engine.Time.t -> unit
 (** Start measuring from simulated time [at] (default: from 0). *)
 
@@ -94,8 +90,6 @@ val offered : t -> int
 
 val served : t -> int
 (** Requests completed whose arrival fell inside the window. *)
-
-val pending : t -> int
 
 val latencies : t -> Vessel_stats.Histogram.t
 

@@ -90,7 +90,7 @@ let prop_ledger_conservation =
       let t = GS.create () in
       List.iteri
         (fun i gap_windows ->
-          let th = GS.add_thread t ~name:(string_of_int i) in
+          let th = GS.add_thread t in
           let windows = windows_of ~chunk gap_windows in
           ingest ~chunk th windows;
           (* Per thread: run segments + observed gaps cover the wall time
@@ -112,14 +112,13 @@ let prop_ledger_matches_naive_replay =
     (fun (chunk, threads) ->
       let t = GS.create () in
       let all_gaps =
-        List.concat
-          (List.mapi
-             (fun i gap_windows ->
-               let th = GS.add_thread t ~name:(string_of_int i) in
-               let windows = windows_of ~chunk gap_windows in
-               ingest ~chunk th windows;
-               replay ~chunk windows)
-             threads)
+        List.concat_map
+          (fun gap_windows ->
+            let th = GS.add_thread t in
+            let windows = windows_of ~chunk gap_windows in
+            ingest ~chunk th windows;
+            replay ~chunk windows)
+          threads
       in
       let naive_max = List.fold_left max 0 all_gaps in
       let naive_hist = Stats.Histogram.create () in
@@ -130,9 +129,7 @@ let prop_ledger_matches_naive_replay =
 let test_fairness_index () =
   let index runs =
     let t = GS.create () in
-    List.iteri
-      (fun i ns -> GS.add_run (GS.add_thread t ~name:(string_of_int i)) ns)
-      runs;
+    List.iter (fun ns -> GS.add_run (GS.add_thread t) ns) runs;
     GS.fairness t
   in
   Alcotest.(check (float 1e-9)) "equal shares" 1.0 (index [ 1_000; 1_000 ]);
@@ -167,7 +164,7 @@ let test_tracer_ledger_matches_replay () =
       let windows = stamps.(i) in
       check_bool "windows recorded" true (List.length windows > 5);
       let t' = GS.create () in
-      let th' = GS.add_thread t' ~name:"replay" in
+      let th' = GS.add_thread t' in
       ingest ~chunk th' windows;
       let gaps = replay ~chunk windows in
       check_int

@@ -174,75 +174,6 @@ let test_openloop_bursty () =
        false
      with Invalid_argument _ -> true)
 
-(* Section 5.2.5: the dataplane poll loop parks after a dry probe instead
-   of pinning its core, and the queues are visible to the scheduler. *)
-let test_dataplane_nic_park_and_serve () =
-  let sim, machine, sys = mk_vessel ~cores:1 () in
-  sys.S.Sched_intf.add_app
-    { S.Sched_intf.id = 1; name = "net-app"; class_ = S.Sched_intf.Latency_critical };
-  let nic = W.Dataplane.create_nic ~sim ~sys ~app_id:1 () in
-  ignore
-    (sys.S.Sched_intf.add_worker ~app_id:1 ~name:"rx-poller"
-       ~step:(W.Dataplane.poller_step nic ()));
-  (* A best-effort burner shares the core: if the poller busy-spun, the
-     burner would starve. *)
-  let burned = ref 0 in
-  sys.S.Sched_intf.add_app
-    { S.Sched_intf.id = 2; name = "be"; class_ = S.Sched_intf.Best_effort };
-  ignore
-    (sys.S.Sched_intf.add_worker ~app_id:2 ~name:"be-w"
-       ~step:(fun ~now:_ ->
-         U.Uthread.Compute
-           { ns = 10_000; on_complete = Some (fun _ -> burned := !burned + 10_000) }));
-  sys.S.Sched_intf.start ();
-  (* 500 packets over 10ms. *)
-  for i = 1 to 500 do
-    ignore (Sim.schedule sim ~at:(i * 20_000) (fun sim' ->
-      W.Dataplane.rx nic ~at:(Sim.now sim')))
-  done;
-  Sim.run_until sim 12_000_000;
-  sys.S.Sched_intf.stop ();
-  check_int "all packets processed" 500 (W.Dataplane.processed nic);
-  check_int "queue drained" 0 (W.Dataplane.rx_depth nic);
-  (* The poller parked between packets: the burner got most of the core. *)
-  check_bool
-    (Printf.sprintf "BE burned %.1fms of 12" (float_of_int !burned /. 1e6))
-    true
-    (!burned > 8_000_000);
-  check_bool "packet latency sane" true
-    (Stats.Histogram.percentile (W.Dataplane.latencies nic) 99. < 50_000);
-  ignore machine
-
-let test_dataplane_ssd_roundtrip () =
-  let sim, _, sys = mk_vessel ~cores:1 () in
-  sys.S.Sched_intf.add_app
-    { S.Sched_intf.id = 1; name = "db"; class_ = S.Sched_intf.Latency_critical };
-  let ssd = W.Dataplane.create_ssd ~sim ~sys ~app_id:1 () in
-  ignore
-    (sys.S.Sched_intf.add_worker ~app_id:1 ~name:"cq-poller"
-       ~step:(W.Dataplane.poller_step ssd ()));
-  sys.S.Sched_intf.start ();
-  for i = 1 to 100 do
-    ignore (Sim.schedule sim ~at:(i * 50_000) (fun sim' ->
-      W.Dataplane.submit ssd ~now:(Sim.now sim')))
-  done;
-  Sim.run_until sim 10_000_000;
-  sys.S.Sched_intf.stop ();
-  check_int "all IOs completed" 100 (W.Dataplane.processed ssd);
-  check_int "nothing inflight" 0 (W.Dataplane.inflight ssd);
-  (* Completion latency ~ device latency (>= 8us shift) + processing. *)
-  let p50 = Stats.Histogram.percentile (W.Dataplane.latencies ssd) 50. in
-  check_bool (Printf.sprintf "p50 %dns ~ device latency" p50) true
-    (p50 > 8_000 && p50 < 40_000)
-
-let test_dataplane_wrong_kind () =
-  let sim, _, sys = mk_vessel ~cores:1 () in
-  sys.S.Sched_intf.add_app
-    { S.Sched_intf.id = 1; name = "x"; class_ = S.Sched_intf.Latency_critical };
-  let nic = W.Dataplane.create_nic ~sim ~sys ~app_id:1 () in
-  check_bool "submit on nic rejected" true
-    (try W.Dataplane.submit nic ~now:0; false with Invalid_argument _ -> true)
-
 let test_pingpong_handoffs () =
   let sim, _, sys = mk_vessel ~cores:1 () in
   let _ta, _tb, handoffs = W.Synth.pingpong_pair ~sim ~sys ~app_ids:(1, 2) () in
@@ -340,12 +271,6 @@ let suite =
         Alcotest.test_case "membench moves bytes" `Quick test_membench_moves_bytes;
         Alcotest.test_case "objcopy" `Quick test_objcopy_counts_and_footprint;
         Alcotest.test_case "bursty arrivals" `Quick test_openloop_bursty;
-        Alcotest.test_case "dataplane NIC parks and serves (5.2.5)" `Quick
-          test_dataplane_nic_park_and_serve;
-        Alcotest.test_case "dataplane SSD roundtrip" `Quick
-          test_dataplane_ssd_roundtrip;
-        Alcotest.test_case "dataplane kind safety" `Quick
-          test_dataplane_wrong_kind;
         Alcotest.test_case "pingpong handoffs" `Quick test_pingpong_handoffs;
       ] );
     ( "workloads.replay",
