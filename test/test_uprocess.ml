@@ -720,7 +720,7 @@ let test_runtime_park_and_wake () =
   Sim.run_until sim 20_000;
   check_int "served" 1 !served;
   check_bool "parked again" true (Uthread.state th = Uthread.Parked);
-  check_bool "core idle" true (Runtime.is_idle rt ~core:0)
+  check_bool "core idle" true (Exec.is_idle (Runtime.exec rt) ~core:0)
 
 let test_runtime_preempt_via_uintr () =
   (* A best-effort hog occupies the core; the scheduler preempts it with a
