@@ -56,8 +56,6 @@ val run_sweep :
   verdict list
 (** The cartesian sweep, in deterministic point order. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val print_report : ?out:Format.formatter -> verdict list -> int
 (** Verdict lines, a [vessel-sim check] repro command per violating run,
     and a summary line. Returns the number of violating runs. *)

@@ -45,6 +45,3 @@ val sample : t -> Rng.t -> float
 val mean : t -> float
 (** Analytic mean where it exists; for mixtures, the weighted mean. For
     Pareto with shape <= 1 the mean diverges and this returns [infinity]. *)
-
-val normal : Rng.t -> float
-(** One standard normal draw (Box–Muller, fresh pair each call). *)

@@ -36,12 +36,6 @@ val add : 'a t -> time:Time.t -> 'a -> handle
 val max_tag : int
 (** Largest valid dispatch tag (the packed payload gives tags 8 bits). *)
 
-val max_a : int
-(** Largest valid [a] argument of {!add_tagged} (16 bits). *)
-
-val max_b : int
-(** Largest valid [b] argument of {!add_tagged} (38 bits). *)
-
 val add_tagged : 'a t -> time:Time.t -> tag:int -> a:int -> b:int -> handle
 (** Schedule an int-tagged event: instead of a boxed ['a] payload the
     entry carries [(tag, a, b)] packed into one immediate word, so the

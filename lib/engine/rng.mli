@@ -20,9 +20,6 @@ val split : t -> t
 val copy : t -> t
 (** A snapshot sharing no state with the original. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val bits : t -> int
 (** 62 uniform non-negative bits (fits OCaml's [int]). *)
 

@@ -12,7 +12,7 @@
     The final stdout line — [gaps: N points, G gated, worst gated gap X
     us, ok|FAIL (bound B ms)] — is the regression verdict the cram test
     and the bench row stand on. Only schedulers that promise the bound
-    are gated ({!gated}); [linux-cfs] timeshares on a 6 ms sched_period,
+    are gated; [linux-cfs] timeshares on a 6 ms sched_period,
     so its multi-ms outer gaps are correct behaviour and ride along as
     the informational contrast baseline. *)
 
@@ -29,9 +29,6 @@ type row = {
 val default_duties : float list
 val default_systems : Runner.sched_kind list
 
-val default_bound : int
-(** 5 ms — matches the checker's [gap_bound] default. *)
-
 val run :
   ?seed:int ->
   ?cores:int ->
@@ -45,9 +42,7 @@ val run :
     0.1/0.3/0.5, 300 us burst period, 50 ms per point) via
     {!Runner.sweep} — byte-identical at any [-j]. *)
 
-val gated : Runner.sched_kind -> bool
-(** Whether a scheduler's rows count toward the verdict. *)
-
 val worst_gap : row list -> int
 
 val print : ?bound:int -> row list -> unit
+(** [bound] defaults to 5 ms, the checker's [gap_bound] default. *)

@@ -18,10 +18,5 @@ type row = {
 val run : ?seed:int -> ?duration:int -> unit -> row list
 (** One row per system (VESSEL, Caladan). Default duration 50 ms. *)
 
-val signal_paths : unit -> (string * int) list
-(** The section-2.2 comparison: the cost of signalling a running core via
-    Uintr (senduipi -> handler entry) vs the kernel path (ioctl -> IPI ->
-    kernel trap -> SIGUSR). The paper cites "up to 15x lower latencies". *)
-
 val print : row list -> unit
 (** Includes the signal-path comparison. *)

@@ -26,49 +26,89 @@ let create ?(line = 64) ?(assoc = 16) ?(capacity = 2 * 1024 * 1024) () =
     misses = 0;
   }
 
+(* The way in [\[w, stop)] that holds [tag], else [lnot] the first way
+   with the smallest stamp, [lru] being the oldest seen so far and [lrus]
+   its stamp. An invalid way keeps stamp 0 and every touch stamps a tick
+   >= 1, so the first oldest way is the first invalid way if there is
+   one, else the first least-recent way. Invalid tags are -1 and never
+   match. *)
+let rec scan (tags : int array) (stamps : int array) tag w stop lru lrus =
+  if w = stop then lnot lru
+  else if Array.unsafe_get tags w = tag then w
+  else
+    let s = Array.unsafe_get stamps w in
+    if s < lrus then scan tags stamps tag (w + 1) stop w s
+    else scan tags stamps tag (w + 1) stop lru lrus
+
+(* The one per-line routine: touch [tag] in [set] at [tick]. Returns the
+   way on a hit and [lnot way] on a miss, having filled or evicted that
+   way. Counters are the caller's. A tag sits in at most one way of its
+   set, so trying way [hint] first only short-cuts the scan; a run passes
+   the previous line's way, which is usually right since neighbouring
+   sets tend to be filled in the same order. *)
+let touch t ~set ~tag ~tick ~hint =
+  let tags = t.tags and stamps = t.stamps in
+  let base = set * t.assoc in
+  if Array.unsafe_get tags (base + hint) = tag then begin
+    Array.unsafe_set stamps (base + hint) tick;
+    hint
+  end
+  else
+    let w = scan tags stamps tag base (base + t.assoc) base max_int in
+    if w >= 0 then begin
+      Array.unsafe_set stamps w tick;
+      w - base
+    end
+    else begin
+      let v = lnot w in
+      Array.unsafe_set tags v tag;
+      Array.unsafe_set stamps v tick;
+      lnot (v - base)
+    end
+
 let access t addr =
   if addr < 0 then invalid_arg "Cache.access: negative address";
-  t.accesses <- t.accesses + 1;
-  t.tick <- t.tick + 1;
   let block = addr / t.line in
-  let set = block mod t.nsets in
-  let tag = block / t.nsets in
-  let base = set * t.assoc in
-  let rec find i = if i = t.assoc then None
-    else if t.tags.(base + i) = tag then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-      t.stamps.(base + i) <- t.tick;
-      `Hit
-  | None ->
-      t.misses <- t.misses + 1;
-      (* Victim: an invalid way if any, else the LRU way. *)
-      let victim = ref 0 in
-      (try
-         for i = 0 to t.assoc - 1 do
-           if t.tags.(base + i) = -1 then begin
-             victim := i;
-             raise Exit
-           end;
-           if t.stamps.(base + i) < t.stamps.(base + !victim) then victim := i
-         done
-       with Exit -> ());
-      t.tags.(base + !victim) <- tag;
-      t.stamps.(base + !victim) <- t.tick;
-      `Miss
+  let tick = t.tick + 1 in
+  t.tick <- tick;
+  t.accesses <- t.accesses + 1;
+  if touch t ~set:(block mod t.nsets) ~tag:(block / t.nsets) ~tick ~hint:0 >= 0
+  then `Hit
+  else begin
+    t.misses <- t.misses + 1;
+    `Miss
+  end
 
+(* Consecutive lines fall in consecutive sets, so the run divides once:
+   each step moves to the next set, wrapping to set 0 with the next tag.
+   Each line ticks once for its touch and [word_accesses - 1] more for the
+   words it stands for, exactly as that many [access] calls would. *)
 let access_run t ?(word_accesses = 1) ~addr ~len () =
+  if addr < 0 then invalid_arg "Cache.access_run: negative address";
   if len > 0 then begin
-    let first = addr / t.line and last = (addr + len - 1) / t.line in
-    for b = first to last do
-      ignore (access t (b * t.line));
-      if word_accesses > 1 then begin
-        t.accesses <- t.accesses + (word_accesses - 1);
-        t.tick <- t.tick + (word_accesses - 1)
+    let first = addr / t.line in
+    let lines = ((addr + len - 1) / t.line) - first + 1 in
+    let extra = if word_accesses > 1 then word_accesses - 1 else 0 in
+    let set = ref (first mod t.nsets) and tag = ref (first / t.nsets) in
+    let tick = ref t.tick and misses = ref t.misses and way = ref 0 in
+    for _ = 1 to lines do
+      let now = !tick + 1 in
+      let w = touch t ~set:!set ~tag:!tag ~tick:now ~hint:!way in
+      if w >= 0 then way := w
+      else begin
+        way := lnot w;
+        incr misses
+      end;
+      tick := now + extra;
+      if !set + 1 = t.nsets then begin
+        set := 0;
+        incr tag
       end
-    done
+      else incr set
+    done;
+    t.tick <- !tick;
+    t.misses <- !misses;
+    t.accesses <- t.accesses + (lines * (1 + extra))
   end
 
 let flush t =

@@ -15,13 +15,18 @@ val create : ?line:int -> ?assoc:int -> ?capacity:int -> unit -> t
 
 val access : t -> int -> [ `Hit | `Miss ]
 (** Touch the line containing byte address [addr]; updates LRU and
-    counters. *)
+    counters. A miss fills the set's first invalid way, else evicts its
+    first least-recently used way. Raises [Invalid_argument] if
+    [addr < 0]. *)
 
 val access_run : t -> ?word_accesses:int -> addr:int -> len:int -> unit -> unit
-(** Touch every line overlapping [addr, addr+len). [word_accesses] is how
+(** Touch every line overlapping [addr, addr+len), in address order,
+    exactly as one {!access} per line would. [word_accesses] is how
     many word-granularity accesses each line touch stands for (default 1):
     the first can miss, the rest are counted as hits — the right model for
-    a copy loop that reads/writes every word of a freshly fetched line. *)
+    a copy loop that reads/writes every word of a freshly fetched line.
+    [len <= 0] touches nothing. Raises [Invalid_argument] if [addr < 0],
+    before touching anything. Allocates nothing. *)
 
 val flush : t -> unit
 (** Invalidate everything (e.g. modeling a full working-set wipe). *)

@@ -35,5 +35,4 @@ val check : entry -> pkru:Pkru.t -> access -> (unit, fault) result
     gate instruction fetch). Read/Write consult the page bits first, then
     PKRU for the page's key. *)
 
-val pp_fault : Format.formatter -> fault -> unit
 val fault_to_string : fault -> string

@@ -25,12 +25,8 @@ val runtime : t
 val message_pipe : t
 (** Key 15 — the read-mostly message pipe region. *)
 
-val first_uprocess : int
-val last_uprocess : int
-(** uProcess keys span [first_uprocess .. last_uprocess] = [1 .. 13]. *)
-
 val max_uprocesses : int
-(** 13. *)
+(** 13: uProcess keys are [1 .. 13]. *)
 
 val uprocess_key : int -> t
 (** [uprocess_key i] is the key of the [i]-th uProcess slot (0-based).

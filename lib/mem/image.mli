@@ -16,9 +16,6 @@ type t = {
   needed : string list;  (** shared libraries to load alongside *)
 }
 
-val wrpkru_opcode : string
-(** The x86 encoding "\x0f\x01\xef". *)
-
 val make :
   ?pie:bool ->
   ?data_size:int ->

@@ -87,5 +87,3 @@ val attack_smash_return :
 (** A sibling thread overwrites the word at [user_stack] (where a naive
     gate would keep the return address). Reports whether the gate's
     return token survived. *)
-
-val runtime_stack_addr : t -> core:int -> Vessel_mem.Addr.t

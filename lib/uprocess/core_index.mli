@@ -13,9 +13,6 @@
 module Bitset : sig
   type t = int array
 
-  val words : int -> int
-  (** Number of 32-bit words covering [n] bits. *)
-
   val create : int -> t
   val set : t -> int -> unit
   val clear : t -> int -> unit
@@ -28,9 +25,6 @@ module Bitset : sig
 
   val next : t -> from:int -> int
   (** Lowest set bit >= [from], or -1. *)
-
-  val last : t -> int
-  (** Highest set bit, or -1. *)
 end
 
 type t

@@ -11,7 +11,6 @@ type t = {
   machine : Hw.Machine.t;
   smas : Mem.Smas.t;
   pipe : Message_pipe.t;
-  gate : Call_gate.t;
   signals : Signal.t;
   syscalls : Syscall.t;
   mutable exec : Exec.t option; (* tied after hooks exist *)
@@ -244,12 +243,6 @@ let handle_uintr t ~core =
 let create ~machine ~smas () =
   let n = Hw.Machine.ncores machine in
   let pipe = Message_pipe.create smas ~ncores:n in
-  let gate =
-    Call_gate.create
-      ~inject:(Hw.Machine.inject machine)
-      ~clock:(fun () -> Hw.Machine.now machine)
-      ~smas ~pipe ~cost:(Hw.Machine.cost machine) ()
-  in
   let fabric = Hw.Machine.uintr machine in
   let receivers =
     Array.init n (fun core -> Hw.Uintr.register_receiver fabric ~id:core)
@@ -262,7 +255,6 @@ let create ~machine ~smas () =
       machine;
       smas;
       pipe;
-      gate;
       signals = Signal.create ~ncores:n;
       syscalls = Syscall.create ();
       exec = None;

@@ -21,7 +21,7 @@ val create :
   unit ->
   t
 (** Wires the Uintr fabric (one receiver per core, the scheduler's UITT),
-    the call gate, the message pipe and the executor. Cores are not
+    the message pipe and the executor. Cores are not
     started; call {!start}. *)
 
 val machine : t -> Vessel_hw.Machine.t

@@ -343,6 +343,208 @@ let test_cache_validation () =
     (try ignore (Cache.create ~line:64 ~assoc:16 ~capacity:1000 ()); false
      with Invalid_argument _ -> true)
 
+(* [access_run] rejects a negative address before touching anything;
+   a run of [len <= 0] touches nothing. *)
+let test_cache_run_bounds () =
+  let c = Cache.create ~capacity:(64 * 16 * 4) () in
+  let rejects addr len =
+    try
+      Cache.access_run c ~addr ~len ();
+      false
+    with Invalid_argument msg -> msg = "Cache.access_run: negative address"
+  in
+  check_bool "addr -10, len 20" true (rejects (-10) 20);
+  check_bool "addr -100, len 200" true (rejects (-100) 200);
+  check_int "nothing touched" 0 (Cache.accesses c);
+  Cache.access_run c ~addr:128 ~len:0 ();
+  Cache.access_run c ~addr:128 ~len:(-5) ();
+  check_int "len <= 0 touches nothing" 0 (Cache.accesses c);
+  check_bool "line 0 still cold" true (Cache.access c 0 = `Miss)
+
+(* The cache model before the allocation-free kernel, one [access] per
+   line with a fresh search each: the oracle the kernel must match hit
+   for hit. *)
+module Ref_cache = struct
+  type t = {
+    line : int;
+    assoc : int;
+    nsets : int;
+    tags : int array;
+    stamps : int array;
+    mutable tick : int;
+    mutable accesses : int;
+    mutable misses : int;
+  }
+
+  let create ~line ~assoc ~nsets =
+    {
+      line;
+      assoc;
+      nsets;
+      tags = Array.make (nsets * assoc) (-1);
+      stamps = Array.make (nsets * assoc) 0;
+      tick = 0;
+      accesses = 0;
+      misses = 0;
+    }
+
+  let access t addr =
+    t.accesses <- t.accesses + 1;
+    t.tick <- t.tick + 1;
+    let block = addr / t.line in
+    let set = block mod t.nsets in
+    let tag = block / t.nsets in
+    let base = set * t.assoc in
+    let rec find i =
+      if i = t.assoc then None
+      else if t.tags.(base + i) = tag then Some i
+      else find (i + 1)
+    in
+    match find 0 with
+    | Some i ->
+        t.stamps.(base + i) <- t.tick;
+        `Hit
+    | None ->
+        t.misses <- t.misses + 1;
+        let victim = ref 0 in
+        (try
+           for i = 0 to t.assoc - 1 do
+             if t.tags.(base + i) = -1 then begin
+               victim := i;
+               raise Exit
+             end;
+             if t.stamps.(base + i) < t.stamps.(base + !victim) then victim := i
+           done
+         with Exit -> ());
+        t.tags.(base + !victim) <- tag;
+        t.stamps.(base + !victim) <- t.tick;
+        `Miss
+
+  let access_run t ~word_accesses ~addr ~len =
+    if len > 0 then
+      for b = addr / t.line to (addr + len - 1) / t.line do
+        ignore (access t (b * t.line));
+        if word_accesses > 1 then begin
+          t.accesses <- t.accesses + (word_accesses - 1);
+          t.tick <- t.tick + (word_accesses - 1)
+        end
+      done
+
+  let flush t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.stamps 0 (Array.length t.stamps) 0
+
+  let reset_counters t =
+    t.accesses <- 0;
+    t.misses <- 0
+end
+
+type cache_op =
+  | Access of int
+  | Run of { addr : int; len : int; words : int }
+  | Flush
+  | Reset
+
+let cache_op_print = function
+  | Access a -> Printf.sprintf "Access %d" a
+  | Run { addr; len; words } -> Printf.sprintf "Run %d+%d x%d" addr len words
+  | Flush -> "Flush"
+  | Reset -> "Reset"
+
+(* Geometries with 1, 3, 64 and 100-byte lines, 1-16 ways and set counts
+   that are mostly not powers of two. Addresses span three capacities,
+   so full sets evict; runs are unaligned and reach past the last set
+   (twice when long), and each line may stand for -1 to 16 words. *)
+let cache_case_arb =
+  let gen =
+    QCheck.Gen.(
+      let* line = oneofl [ 1; 3; 64; 100 ] in
+      let* assoc = int_range 1 16 in
+      let* nsets = int_range 1 13 in
+      let span = 3 * line * assoc * nsets in
+      let op =
+        frequency
+          [
+            (6, map (fun a -> Access a) (int_bound (span - 1)));
+            ( 3,
+              map3
+                (fun addr len words -> Run { addr; len; words })
+                (int_bound (span - 1))
+                (int_range (-2) ((2 * line * nsets) + 3))
+                (int_range (-1) 16) );
+            (1, return Flush);
+            (1, return Reset);
+          ]
+      in
+      let+ ops = list_size (int_range 1 150) op in
+      (line, assoc, nsets, ops))
+  in
+  QCheck.make gen ~print:(fun (line, assoc, nsets, ops) ->
+      Printf.sprintf "line %d, %d-way, %d sets: %s" line assoc nsets
+        (String.concat "; " (List.map cache_op_print ops)))
+
+let prop_cache_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"cache kernel = per-access reference, hit for hit" cache_case_arb
+    (fun (line, assoc, nsets, ops) ->
+      let c = Cache.create ~line ~assoc ~capacity:(line * assoc * nsets) () in
+      let r = Ref_cache.create ~line ~assoc ~nsets in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Access a ->
+              let got = Cache.access c a and want = Ref_cache.access r a in
+              if got <> want then
+                QCheck.Test.fail_reportf "op %d (%s): %s, reference %s" i
+                  (cache_op_print op)
+                  (if got = `Hit then "hit" else "miss")
+                  (if want = `Hit then "hit" else "miss")
+          | Run { addr; len; words } ->
+              Cache.access_run c ~word_accesses:words ~addr ~len ();
+              Ref_cache.access_run r ~word_accesses:words ~addr ~len
+          | Flush ->
+              Cache.flush c;
+              Ref_cache.flush r
+          | Reset ->
+              Cache.reset_counters c;
+              Ref_cache.reset_counters r);
+          if Cache.accesses c <> r.accesses || Cache.misses c <> r.misses then
+            QCheck.Test.fail_reportf
+              "op %d (%s): accesses %d misses %d, reference %d %d" i
+              (cache_op_print op) (Cache.accesses c) (Cache.misses c)
+              r.accesses r.misses)
+        ops;
+      true)
+
+(* The kernel allocates nothing per line, on a cold cache (every line a
+   miss, most of them evictions) and on a warm one (every line a hit). *)
+let test_cache_run_allocation_free () =
+  let c = Cache.create () in
+  let words_during f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let cold =
+    words_during (fun () ->
+        Cache.access_run c ~word_accesses:16 ~addr:0x100000
+          ~len:(64 * 1024 * 1024) ())
+  in
+  check_int "cold: 1M misses" (1024 * 1024) (Cache.misses c);
+  Cache.flush c;
+  Cache.access_run c ~addr:0 ~len:(1024 * 1024) ();
+  Cache.reset_counters c;
+  let warm =
+    words_during (fun () ->
+        for _ = 1 to 64 do
+          Cache.access_run c ~word_accesses:16 ~addr:0 ~len:(1024 * 1024) ()
+        done)
+  in
+  check_int "warm: 1M hits" 0 (Cache.misses c);
+  check_int "warm: 1M lines" (16 * 1024 * 1024) (Cache.accesses c);
+  Alcotest.(check (float 0.)) "cold: no minor words" 0. cold;
+  Alcotest.(check (float 0.)) "warm: no minor words" 0. warm
+
 (* ------------------------------------------------------------------ *)
 (* Membw *)
 
@@ -494,6 +696,10 @@ let suite =
           test_cache_working_sets;
         Alcotest.test_case "flush/counters" `Quick test_cache_flush_and_counters;
         Alcotest.test_case "validation" `Quick test_cache_validation;
+        Alcotest.test_case "run bounds" `Quick test_cache_run_bounds;
+        QCheck_alcotest.to_alcotest prop_cache_matches_reference;
+        Alcotest.test_case "run allocation-free" `Quick
+          test_cache_run_allocation_free;
       ] );
     ( "hw.membw",
       [
