@@ -7,48 +7,19 @@
      dune exec bench/main.exe -- micro   # just the micro-benchmarks
      dune exec bench/main.exe -- -j 4    # everything, 4 worker domains
 
-   Every experiment prints its measured rows next to a "paper:" note
-   stating what the original reports, so the shape comparison is one
-   glance. EXPERIMENTS.md records a snapshot of both.
+   The experiments are vessel-sim's catalog (bin/catalog.ml), each run
+   at its library defaults, as `vessel-sim all` runs them. Every
+   experiment prints its measured rows next to a "paper:" note stating
+   what the original reports, so the shape comparison is one glance.
+   EXPERIMENTS.md records a snapshot of both.
 
-   Alongside the human output the harness writes BENCH_5.json — one
-   record per experiment with wall seconds and simulation events/sec,
-   plus the queue and scheduler micro rows — so successive changes can
-   track the performance trajectory machine-readably (schema documented
-   in EXPERIMENTS.md). *)
+   Alongside the human output the harness writes BENCH_5.json, the one
+   bench record: one row per experiment with wall seconds and simulation
+   events/sec, the queue and scheduler micro rows, and the dormant-guard
+   overhead rows, so successive changes can track the performance
+   trajectory machine-readably (schema documented in EXPERIMENTS.md). *)
 
 open Vessel_experiments
-
-(* ------------------------------------------------------------------ *)
-(* Figure/table regeneration *)
-
-let experiments ~seed : (string * (unit -> unit)) list =
-  [
-    ("table1", fun () -> Exp_table1.print (Exp_table1.run ~seed ()));
-    ("fig1", fun () -> Exp_fig1.print (Exp_fig1.run ~seed ()));
-    ("fig2", fun () -> Exp_fig2.print (Exp_fig2.run ~seed ()));
-    ("fig3", fun () -> Exp_fig3.print (Exp_fig3.run ~seed ()));
-    ( "fig9",
-      fun () ->
-        Exp_fig9.print ~l_app:Runner.Memcached
-          (Exp_fig9.run ~seed ~l_app:Runner.Memcached ());
-        Exp_fig9.print ~l_app:Runner.Silo
-          (Exp_fig9.run ~seed ~l_app:Runner.Silo ()) );
-    ("fig10", fun () -> Exp_fig10.print (Exp_fig10.run ~seed ()));
-    ("fig11", fun () -> Exp_fig11.print (Exp_fig11.run ~seed ()));
-    ("fig12", fun () -> Exp_fig12.print (Exp_fig12.run ~seed ()));
-    ( "fig13",
-      fun () ->
-        Exp_fig13.print_colocation (Exp_fig13.run_colocation ~seed ());
-        Exp_fig13.print_accuracy (Exp_fig13.run_accuracy ~seed ()) );
-    ( "ablation",
-      fun () ->
-        Exp_ablation.print_switch_cost (Exp_ablation.run_switch_cost ~seed ());
-        Exp_ablation.print_policy (Exp_ablation.run_policy ~seed ()) );
-    ("burst", fun () -> Exp_burst.print (Exp_burst.run ~seed ()));
-    ("gaps", fun () -> Exp_gaps.print (Exp_gaps.run ~seed ()));
-    ("fleet", fun () -> Exp_fleet.print (Exp_fleet.run ~seed ()));
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the simulator's hot paths *)
@@ -288,122 +259,73 @@ let run_queue_bench () =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* Observability overhead: the Null-sink <= 2% claim.
+(* Dormant-guard overhead: the <= 2% claims of the probe and request-mark
+   sites.
 
-   A self-rescheduling event drives the real Sim dispatch path; the
-   probed variant adds the exact call-site pattern the instrumented hot
-   paths use (one load-and-branch per probe when disabled). Comparing the
-   plain and probed-but-disabled loops isolates what dormant probes cost
-   per event; the probed-and-enabled loop (the Journal sink --trace
-   uses, plus a live registry) shows the price of actually collecting.
-   The plain and disabled loops are timed back-to-back within each rep,
-   and the overhead is the median of the per-rep ratios: pairing shares
-   frequency drift between both sides and the median survives a rep
-   that a noisy neighbour stretched — a sequential min-of-5 vs min-of-5
-   layout read ±2.5% on a loaded 1-core host, swamping the ~1% effect
-   under measurement. *)
+   Each guard has a pair of specialised loops over the real Sim dispatch
+   path: a plain one that carries nothing of the guard, and a guarded one
+   with the exact call-site pattern of the instrumented hot paths. Not
+   one loop with a flag, nor a body passed as a closure: the flag's check
+   or the indirect call per event would drown the cost being measured.
+   The recording rate runs the guarded loop with collection on. *)
 
 let dispatch_events = 5_000_000
 
-let dispatch_loop ~probed n =
+(* Probe sites: one load and branch per probe when disabled. *)
+let probe_loop_plain n =
   let sim = Vessel_engine.Sim.create ~seed:7 () in
   let remaining = ref n in
   let rec step s =
     if !remaining > 0 then begin
       decr remaining;
-      if probed then begin
-        if !Vessel_obs.Probe.on then
-          Vessel_obs.Probe.instant
-            ~ts:(Vessel_engine.Sim.now s)
-            ~track:Vessel_obs.Track.Engine ~name:"bench.tick" ();
-        if !Vessel_obs.Probe.metrics_on then
-          Vessel_obs.Probe.incr "bench.ticks"
-      end;
       ignore (Vessel_engine.Sim.schedule_after s ~delay:1 step)
     end
   in
   ignore (Vessel_engine.Sim.schedule sim ~at:1 step);
   Vessel_engine.Sim.run_until sim (n + 2)
 
-let run_obs_bench () =
-  Report.section "Observability overhead (event dispatch, Null sink)";
-  let reps = 17 in
-  let n = dispatch_events in
-  (* A minor collection inside a ~35ms timed window is the dominant
-     jitter; [Pool.tune_gc] (applied at startup) gives the loop room,
-     and we collect only between reps. *)
-  let t_plain = ref infinity and t_off = ref infinity in
-  let ratios = ref [] in
-  (* warm-up rep, discarded *)
-  dispatch_loop ~probed:false n;
-  dispatch_loop ~probed:true n;
-  for _ = 1 to reps do
-    Gc.major ();
-    let p = time_once (fun () -> dispatch_loop ~probed:false n) in
-    let o = time_once (fun () -> dispatch_loop ~probed:true n) in
-    if p < !t_plain then t_plain := p;
-    if o < !t_off then t_off := o;
-    ratios := (o /. p) :: !ratios
-  done;
-  let t_plain = !t_plain and t_off = !t_off in
-  let median_ratio =
-    List.nth (List.sort compare !ratios) (reps / 2)
+let probe_loop_guarded n =
+  let sim = Vessel_engine.Sim.create ~seed:7 () in
+  let remaining = ref n in
+  let rec step s =
+    if !remaining > 0 then begin
+      decr remaining;
+      if !Vessel_obs.Probe.on then
+        Vessel_obs.Probe.instant
+          ~ts:(Vessel_engine.Sim.now s)
+          ~track:Vessel_obs.Track.Engine ~name:"bench.tick" ();
+      if !Vessel_obs.Probe.metrics_on then Vessel_obs.Probe.incr "bench.ticks";
+      ignore (Vessel_engine.Sim.schedule_after s ~delay:1 step)
+    end
   in
+  ignore (Vessel_engine.Sim.schedule sim ~at:1 step);
+  Vessel_engine.Sim.run_until sim (n + 2)
+
+(* Recording: the Journal sink --trace uses, plus a live registry. *)
+let probe_recording n =
   let journal = Vessel_obs.Journal.create () in
   let reg = Vessel_obs.Metrics.create () in
-  let t_on =
-    time_reps ~reps:3 (fun () ->
-        Vessel_obs.Journal.clear journal;
-        Vessel_obs.Probe.with_sink ~reg (Vessel_obs.Journal.sink journal)
-          (fun () -> dispatch_loop ~probed:true n))
-  in
-  let rate t = float_of_int n /. t in
-  let overhead_pct = (median_ratio -. 1.) *. 100. in
-  Printf.printf "%-28s %10.1f M events/s\n" "plain" (rate t_plain /. 1e6);
-  Printf.printf "%-28s %10.1f M events/s\n" "probes disabled (Null)"
-    (rate t_off /. 1e6);
-  Printf.printf "%-28s %10.1f M events/s\n" "probes enabled (Journal)"
-    (rate t_on /. 1e6);
-  Printf.printf "null-sink overhead: %.2f%% (claim: <= 2%%)\n" overhead_pct;
-  let oc = open_out "BENCH_2.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"vessel-bench-2\",\n";
-  Printf.fprintf oc "  \"dispatch_events\": %d,\n" n;
-  Printf.fprintf oc "  \"plain_events_per_sec\": %.0f,\n" (rate t_plain);
-  Printf.fprintf oc "  \"tracing_disabled_events_per_sec\": %.0f,\n"
-    (rate t_off);
-  Printf.fprintf oc "  \"tracing_enabled_events_per_sec\": %.0f,\n" (rate t_on);
-  Printf.fprintf oc "  \"null_sink_overhead_pct\": %.2f\n}\n" overhead_pct;
-  close_out oc;
-  Printf.printf "(BENCH_2.json written)\n%!"
+  time_reps ~reps:3 (fun () ->
+      Vessel_obs.Journal.clear journal;
+      Vessel_obs.Probe.with_sink ~reg (Vessel_obs.Journal.sink journal)
+        (fun () -> probe_loop_guarded n))
 
-(* ------------------------------------------------------------------ *)
-(* Request-tracing overhead: the --attrib hot-path claim.
-
-   The dispatch loop gains the exact call-site pattern the instrumented
-   layers use — guard on [!Probe.req_on], then construct and mark a
-   packed context. With tracing and attribution both off the site costs
-   two loads and a branch, and must stay within 2% of the plain loop
-   (same paired-median methodology as the null-sink gate above). The
-   recording-on loop prices actually attributing: a sample-mask check
-   plus two int stores into the lane buffer per stamp. *)
-
-(* Out of line, like the slow paths behind real guards: the loop body
-   stays small, and the dormant cost is the guard alone. *)
-let[@inline never] attrib_mark s rem =
+(* Request marks: guard on [!Probe.req_on], then construct and mark a
+   packed context; disabled, two loads and a branch. Out of line, like
+   the slow paths behind real guards: the loop body stays small, and the
+   dormant cost is the guard alone. *)
+let[@inline never] request_mark s rem =
   Vessel_obs.Request.mark
     (Vessel_obs.Request.v ~rid:(1 + (rem land 0xFFFF))
        Vessel_obs.Request.Dispatch)
     ~ts:(Vessel_engine.Sim.now s)
     ~track:Vessel_obs.Track.Engine
 
-(* Two specialized loops (not one with a [marked] flag): the plain one
-   must carry nothing of the guard, or the flag's own check would drown
-   the cost it is calibrating. Each event is a minimal *request* event —
-   dispatch, a service draw, a latency record — because that is the
-   thinnest context a mark site ever sits in: marks happen at pipeline
-   transitions, which always ride alongside RNG/queue/histogram work,
-   never on a bare self-rescheduling tick. *)
-let attrib_loop_plain n =
+(* Each event is a minimal request event (dispatch, a service draw, a
+   latency record): marks happen at pipeline transitions, which always
+   ride alongside RNG, queue and histogram work, never on a bare
+   self-rescheduling tick. *)
+let mark_loop_plain n =
   let sim = Vessel_engine.Sim.create ~seed:7 () in
   let rng = Vessel_engine.Rng.create ~seed:11 in
   let hist = Vessel_stats.Histogram.create () in
@@ -419,7 +341,7 @@ let attrib_loop_plain n =
   ignore (Vessel_engine.Sim.schedule sim ~at:1 step);
   Vessel_engine.Sim.run_until sim (n + 2)
 
-let attrib_loop_marked n =
+let mark_loop_guarded n =
   let sim = Vessel_engine.Sim.create ~seed:7 () in
   let rng = Vessel_engine.Rng.create ~seed:11 in
   let hist = Vessel_stats.Histogram.create () in
@@ -429,117 +351,132 @@ let attrib_loop_marked n =
       decr remaining;
       Vessel_stats.Histogram.record hist
         (1 + (Vessel_engine.Rng.bits rng land 0xFFFF));
-      if !Vessel_obs.Probe.req_on then attrib_mark s !remaining;
+      if !Vessel_obs.Probe.req_on then request_mark s !remaining;
       ignore (Vessel_engine.Sim.schedule_after s ~delay:1 step)
     end
   in
   ignore (Vessel_engine.Sim.schedule sim ~at:1 step);
   Vessel_engine.Sim.run_until sim (n + 2)
 
-let attrib_loop ~marked n =
-  if marked then attrib_loop_marked n else attrib_loop_plain n
+(* Recording: a live lane recorder, every rid sampled. A fresh instance
+   per rep keeps the lane buffer from compounding across reps. *)
+let mark_recording n =
+  Vessel_obs.Collector.configure ~attrib:true ();
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    Vessel_obs.Attrib.reset ();
+    let a = Vessel_obs.Attrib.create ~label:"bench" () in
+    let d =
+      Vessel_obs.Attrib.with_lane a ~lane:0 (fun () ->
+          time_once (fun () -> mark_loop_guarded n))
+    in
+    if d < !best then best := d
+  done;
+  Vessel_obs.Collector.reset ();
+  Vessel_obs.Attrib.reset ();
+  !best
 
-let run_attrib_bench () =
-  Report.section "Request-tracing overhead (event dispatch, stamps off/on)";
-  (* The effect under measurement (~0.5ns per dispatch) sits far below
-     the host's run-to-run jitter, so coarse paired reps read +/-4%
-     whatever robust statistic summarizes them. Instead: many small
-     chunks, strictly alternating plain/marked. Drift slower than a
-     chunk (~4ms) hits both sides of a pair equally and cancels in the
-     per-pair ratio; a stall inside one chunk (GC slice, scheduler
-     preemption) skews only that pair's ratio, which the median across
-     hundreds of pairs discards. *)
+type overhead_row = {
+  o_name : string;
+  o_events : int;  (** per side of the paired measurement *)
+  o_plain_rate : float;
+  o_recording_rate : float;
+  o_pct : float;  (** dormant guards against the plain loop *)
+  o_max_pct : float option;  (** the gate bench_compare.py applies *)
+}
+
+let claim_pct = 2.0
+
+(* The effect under measurement (~0.5 ns per dispatch) sits far below the
+   host's run-to-run jitter: coarse paired reps read +/-4% whatever
+   robust statistic summarises them. Instead: many small chunks, strictly
+   alternating plain and guarded. Drift slower than a chunk (a few ms)
+   hits both sides of a pair equally and cancels in the per-pair ratio; a
+   stall inside one chunk (GC slice, host preemption) skews only that
+   pair's ratio, which the median across hundreds of pairs discards. *)
+let overhead_row ~name ?max_pct ~plain ~guarded ~recording () =
   let chunk = 200_000 in
   let pairs = 251 in
-  let n = chunk * pairs in
   (* warm-up, discarded *)
-  attrib_loop ~marked:false chunk;
-  attrib_loop ~marked:true chunk;
+  plain chunk;
+  guarded chunk;
   let measure () =
     Gc.major ();
-    let t_plain = ref 0. and t_off = ref 0. in
+    let t_plain = ref 0. in
     let ratios = Array.make pairs 1. in
     for i = 1 to pairs do
       (* Alternate which side goes first so a within-pair ramp cancels. *)
-      let first_marked = i land 1 = 0 in
-      let a = time_once (fun () -> attrib_loop ~marked:first_marked chunk) in
-      let b =
-        time_once (fun () -> attrib_loop ~marked:(not first_marked) chunk)
+      let p, g =
+        if i land 1 = 0 then
+          let g = time_once (fun () -> guarded chunk) in
+          (time_once (fun () -> plain chunk), g)
+        else
+          let p = time_once (fun () -> plain chunk) in
+          (p, time_once (fun () -> guarded chunk))
       in
-      let p = if first_marked then b else a
-      and o = if first_marked then a else b in
       t_plain := !t_plain +. p;
-      t_off := !t_off +. o;
-      ratios.(i - 1) <- o /. p
+      ratios.(i - 1) <- g /. p
     done;
     Array.sort compare ratios;
-    (ratios.(pairs / 2), !t_plain, !t_off)
+    (ratios.(pairs / 2), !t_plain)
   in
-  (* The residual per-process bias (+/-1%) sometimes pushes a clean
-     build past the claim; re-measuring up to twice and keeping the
-     best median filters that tail, while a real regression — an
-     unguarded mark costs an order of magnitude more — fails every
-     attempt. *)
-  let rec attempt k ((m, _, _) as best) =
-    if m <= 1.02 || k = 0 then best
+  (* The residual per-process bias (+/-1%) sometimes pushes a clean build
+     past the claim; re-measuring up to twice and keeping the best median
+     filters that tail, while a real regression (an unguarded site costs
+     an order of magnitude more) fails every attempt. *)
+  let rec attempt k ((m, _) as best) =
+    if m <= 1. +. (claim_pct /. 100.) || k = 0 then best
     else
-      let ((m', _, _) as r) = measure () in
+      let ((m', _) as r) = measure () in
       attempt (k - 1) (if m' < m then r else best)
   in
-  let median_ratio, t_plain, t_off = attempt 2 (measure ()) in
-  (* Recording on: a live lane recorder, every rid sampled. A fresh
-     instance per rep keeps the lane buffer from compounding across
-     reps. *)
-  let n_rec = dispatch_events in
-  let t_on =
-    Vessel_obs.Collector.configure ~attrib:true ();
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      Vessel_obs.Attrib.reset ();
-      let a = Vessel_obs.Attrib.create ~label:"bench" () in
-      let d =
-        Vessel_obs.Attrib.with_lane a ~lane:0 (fun () ->
-            time_once (fun () -> attrib_loop ~marked:true n_rec))
-      in
-      if d < !best then best := d
-    done;
-    Vessel_obs.Collector.reset ();
-    Vessel_obs.Attrib.reset ();
-    !best
+  let ratio, t_plain = attempt 2 (measure ()) in
+  let n = chunk * pairs in
+  {
+    o_name = name;
+    o_events = n;
+    o_plain_rate = float_of_int n /. t_plain;
+    o_recording_rate =
+      float_of_int dispatch_events /. recording dispatch_events;
+    o_pct = (ratio -. 1.) *. 100.;
+    o_max_pct = max_pct;
+  }
+
+let run_overhead_bench () =
+  Report.section "Dormant-guard overhead (event dispatch, guards off/on)";
+  let rows =
+    [
+      overhead_row ~name:"probe" ~plain:probe_loop_plain
+        ~guarded:probe_loop_guarded ~recording:probe_recording ();
+      overhead_row ~name:"request-mark" ~max_pct:claim_pct
+        ~plain:mark_loop_plain ~guarded:mark_loop_guarded
+        ~recording:mark_recording ();
+    ]
   in
-  let rate t = float_of_int n /. t in
-  let rate_rec t = float_of_int n_rec /. t in
-  let overhead_pct = (median_ratio -. 1.) *. 100. in
-  Printf.printf "%-28s %10.1f M events/s\n" "plain" (rate t_plain /. 1e6);
-  Printf.printf "%-28s %10.1f M events/s\n" "marks disabled"
-    (rate t_off /. 1e6);
-  Printf.printf "%-28s %10.1f M events/s\n" "attrib recording"
-    (rate_rec t_on /. 1e6);
-  Printf.printf "disabled-marks overhead: %.2f%% (claim: <= 2%%)\n"
-    overhead_pct;
-  let oc = open_out "BENCH_6.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"vessel-bench-6\",\n";
-  Printf.fprintf oc "  \"dispatch_events\": %d,\n" n;
-  Printf.fprintf oc "  \"plain_events_per_sec\": %.0f,\n" (rate t_plain);
-  Printf.fprintf oc "  \"marks_disabled_events_per_sec\": %.0f,\n" (rate t_off);
-  Printf.fprintf oc "  \"attrib_recording_events_per_sec\": %.0f,\n"
-    (rate_rec t_on);
-  Printf.fprintf oc "  \"disabled_overhead_pct\": %.2f\n}\n" overhead_pct;
-  close_out oc;
-  Printf.printf "(BENCH_6.json written)\n%!"
+  List.iter
+    (fun r ->
+      Printf.printf
+        "%-14s plain %6.1f M events/s, recording %6.1f M events/s, \
+         dormant %+.2f%% (claim: <= %.0f%%%s)\n"
+        r.o_name (r.o_plain_rate /. 1e6) (r.o_recording_rate /. 1e6) r.o_pct
+        claim_pct
+        (if r.o_max_pct = None then ", not gated" else ""))
+    rows;
+  rows
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable perf record *)
 
 type timing = { name : string; seconds : float; events : int }
 
-(* BENCH_5.json: the one bench record. Per-experiment and queue rows,
-   the aggregate suite throughput (total events over total experiment
-   seconds) — the number the CI perf gate compares — and the flags
-   needed to interpret it ([quick] runs skip the two long experiments,
-   so their aggregate is only comparable to another quick run). Schema
-   documented in EXPERIMENTS.md. *)
-let write_bench5_json ~path ~jobs ~seed ~quick ~total_seconds ~queue timings =
+(* BENCH_5.json: the one bench record. Per-experiment, queue and
+   overhead rows, the aggregate suite throughput (total events over total
+   experiment seconds) — the number the CI perf gate compares — and the
+   flags needed to interpret it ([quick] runs skip the two long
+   experiments, so their aggregate is only comparable to another quick
+   run). Schema documented in EXPERIMENTS.md. *)
+let write_bench5_json ~path ~jobs ~seed ~quick ~total_seconds ~queue
+    ~overhead timings =
   let oc = open_out path in
   let rate t = if t.seconds > 0. then float_of_int t.events /. t.seconds else 0. in
   let suite_events = List.fold_left (fun a t -> a + t.events) 0 timings in
@@ -547,6 +484,15 @@ let write_bench5_json ~path ~jobs ~seed ~quick ~total_seconds ~queue timings =
   let suite_rate =
     if suite_seconds > 0. then float_of_int suite_events /. suite_seconds
     else 0.
+  in
+  let rows name pp l =
+    Printf.fprintf oc "  \"%s\": [\n" name;
+    List.iteri
+      (fun i r ->
+        Printf.fprintf oc "    { %t }%s\n" (pp r)
+          (if i = List.length l - 1 then "" else ","))
+      l;
+    Printf.fprintf oc "  ]"
   in
   Printf.fprintf oc "{\n  \"schema\": \"vessel-bench-5\",\n";
   Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
@@ -557,140 +503,129 @@ let write_bench5_json ~path ~jobs ~seed ~quick ~total_seconds ~queue timings =
     "  \"suite\": { \"events\": %d, \"seconds\": %.3f, \
      \"events_per_sec\": %.0f },\n"
     suite_events suite_seconds suite_rate;
-  Printf.fprintf oc "  \"experiments\": [\n";
-  List.iteri
-    (fun i t ->
+  rows "experiments"
+    (fun t oc ->
       Printf.fprintf oc
-        "    { \"name\": %S, \"seconds\": %.3f, \"events\": %d, \
-         \"events_per_sec\": %.0f }%s\n"
-        t.name t.seconds t.events (rate t)
-        (if i = List.length timings - 1 then "" else ","))
+        "\"name\": %S, \"seconds\": %.3f, \"events\": %d, \
+         \"events_per_sec\": %.0f"
+        t.name t.seconds t.events (rate t))
     timings;
-  Printf.fprintf oc "  ],\n  \"queue\": [\n";
-  List.iteri
-    (fun i r ->
+  Printf.fprintf oc ",\n";
+  rows "queue"
+    (fun r oc ->
       Printf.fprintf oc
-        "    { \"backend\": %S, \"pending\": %d, \"ns_per_op\": %.2f, \
-         \"events_per_sec\": %.0f }%s\n"
-        r.qr_backend r.qr_pending r.qr_ns_per_op r.qr_events_per_sec
-        (if i = List.length queue - 1 then "" else ","))
+        "\"backend\": %S, \"pending\": %d, \"ns_per_op\": %.2f, \
+         \"events_per_sec\": %.0f"
+        r.qr_backend r.qr_pending r.qr_ns_per_op r.qr_events_per_sec)
     queue;
-  Printf.fprintf oc "  ]\n}\n";
+  Printf.fprintf oc ",\n";
+  rows "overhead"
+    (fun r oc ->
+      Printf.fprintf oc
+        "\"name\": %S, \"events\": %d, \"plain_events_per_sec\": %.0f, \
+         \"recording_events_per_sec\": %.0f, \"dormant_pct\": %.2f%s"
+        r.o_name r.o_events r.o_plain_rate r.o_recording_rate r.o_pct
+        (match r.o_max_pct with
+        | Some m -> Printf.sprintf ", \"max_pct\": %.1f" m
+        | None -> ""))
+    overhead;
+  Printf.fprintf oc "\n}\n";
   close_out oc
 
 (* ------------------------------------------------------------------ *)
 
-let experiment_ids = List.map fst (experiments ~seed:42)
+let experiment_ids = List.map (fun (e : Catalog.t) -> e.id) Catalog.all
+let targets = [ "micro"; "queue"; "sched"; "overhead" ]
 
-(* The CI subset: every experiment except the two long-running ones
-   (fig9, fig12 — ~118s of the ~142s suite), plus the queue micro. A
-   quick run finishes in well under a minute and still covers both
-   schedulers, every workload type and the queue in isolation. *)
+(* The CI subset: every experiment except the catalog's long-running
+   ones (fig9 and fig12, ~118s of the ~142s suite), plus the queue,
+   scheduler and overhead rows. A quick run finishes in about two minutes
+   and still covers both schedulers, every workload type and the queue
+   in isolation. *)
 let quick_ids =
-  List.filter (fun id -> id <> "fig9" && id <> "fig12") experiment_ids
-  @ [ "queue"; "sched" ]
+  List.filter_map
+    (fun (e : Catalog.t) -> if e.long then None else Some e.id)
+    Catalog.all
+  @ [ "queue"; "sched"; "overhead" ]
 
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [-j N] [--seed N] [--quick] [EXPERIMENT...]\nvalid ids: %s\n"
-    (String.concat " "
-       (experiment_ids @ [ "micro"; "queue"; "sched"; "obs"; "attrib" ]))
-
-let parse_args () =
-  let jobs = ref (Vessel_engine.Pool.default_domains ()) in
-  let seed = ref 42 in
-  let quick = ref false in
-  let wanted = ref [] in
-  let int_flag flag r n rest go =
-    match int_of_string_opt n with
-    | Some n when n >= 1 ->
-        r := n;
-        go rest
-    | _ ->
-        Printf.eprintf "error: %s expects a positive integer, got %S\n" flag n;
-        usage ();
-        exit 2
+(* Each experiment row runs at the catalog's defaults. Gate runs take the
+   min of three timings: the quick subset is all sub-10s experiments,
+   where a single wall-clock sample on a shared CI runner can swing far
+   past any real regression. Reruns within one process can execute
+   *fewer* events than the first pass (capacity/goodput probes memoize
+   across runs), so each rerun's (seconds, events) pair is kept together
+   and the min-seconds pair wins — events/sec stays an honest ratio. *)
+let time_experiment ~quick ~seed (e : Catalog.t) =
+  let run = Catalog.defaults e in
+  let once () =
+    let t = Unix.gettimeofday () in
+    let ev0 = Vessel_engine.Sim.total_events_executed () in
+    run (Some seed);
+    (Unix.gettimeofday () -. t, Vessel_engine.Sim.total_events_executed () - ev0)
   in
-  let rec go = function
-    | [] -> ()
-    | "-j" :: n :: rest -> int_flag "-j" jobs n rest go
-    | "--seed" :: n :: rest -> int_flag "--seed" seed n rest go
-    | "--quick" :: rest ->
-        quick := true;
-        go rest
-    | [ ("-j" | "--seed") ] ->
-        Printf.eprintf "error: flag expects an argument\n";
-        usage ();
-        exit 2
-    | name :: rest ->
-        wanted := name :: !wanted;
-        go rest
+  let first = once () in
+  let seconds, events =
+    if quick then
+      List.fold_left
+        (fun best _ ->
+          let ((d, _) as r) = once () in
+          if d < fst best then r else best)
+        first [ 2; 3 ]
+    else first
   in
-  go (List.tl (Array.to_list Sys.argv));
-  (!jobs, !seed, !quick, List.rev !wanted)
+  Printf.printf "[%s: %.1fs, %.1fM events]\n%!" e.id seconds
+    (float_of_int events /. 1e6);
+  { name = e.id; seconds; events }
 
-let () =
-  let jobs, seed, quick, wanted = parse_args () in
+let main jobs seed quick wanted =
   let wanted = if quick && wanted = [] then quick_ids else wanted in
-  let valid =
-    experiment_ids @ [ "micro"; "queue"; "sched"; "obs"; "attrib" ]
-  in
-  let unknown = List.filter (fun w -> not (List.mem w valid)) wanted in
-  if unknown <> [] then begin
-    Printf.eprintf "error: unknown experiment id%s: %s\n"
-      (if List.length unknown > 1 then "s" else "")
-      (String.concat ", " unknown);
-    usage ();
-    exit 2
-  end;
+  let runs id = wanted = [] || List.mem id wanted in
   Vessel_engine.Pool.tune_gc ();
   Runner.set_domains jobs;
-  let run_all = wanted = [] in
-  let timings = ref [] in
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun (name, f) ->
-      if run_all || List.mem name wanted then begin
-        let t = Unix.gettimeofday () in
-        let ev0 = Vessel_engine.Sim.total_events_executed () in
-        f ();
-        let seconds = ref (Unix.gettimeofday () -. t) in
-        let events = ref (Vessel_engine.Sim.total_events_executed () - ev0) in
-        (* Gate runs take the min of three timings: the quick subset is
-           all sub-10s experiments, where a single wall-clock sample on
-           a shared CI runner can swing far past any real regression.
-           Reruns within one process can execute *fewer* events than the
-           first pass (capacity/goodput probes memoize across runs), so
-           each rerun's (seconds, events) pair is kept together and the
-           min-seconds pair wins — events/sec stays an honest ratio. *)
-        if quick then
-          for _ = 2 to 3 do
-            let t = Unix.gettimeofday () in
-            let ev0 = Vessel_engine.Sim.total_events_executed () in
-            f ();
-            let d = Unix.gettimeofday () -. t in
-            if d < !seconds then begin
-              seconds := d;
-              events := Vessel_engine.Sim.total_events_executed () - ev0
-            end
-          done;
-        let seconds = !seconds and events = !events in
-        timings := { name; seconds; events } :: !timings;
-        Printf.printf "[%s: %.1fs, %.1fM events]\n%!" name seconds
-          (float_of_int events /. 1e6)
-      end)
-    (experiments ~seed);
-  if run_all || List.mem "micro" wanted then run_micro ();
-  let queue_rows =
-    if run_all || List.mem "queue" wanted then run_queue_bench () else []
+  let timings =
+    List.filter_map
+      (fun (e : Catalog.t) ->
+        if runs e.id then Some (time_experiment ~quick ~seed e) else None)
+      Catalog.all
   in
-  let queue_rows =
-    queue_rows
-    @ (if run_all || List.mem "sched" wanted then run_sched_bench () else [])
+  if runs "micro" then run_micro ();
+  let queue =
+    (if runs "queue" then run_queue_bench () else [])
+    @ if runs "sched" then run_sched_bench () else []
   in
-  if run_all || List.mem "obs" wanted then run_obs_bench ();
-  if run_all || List.mem "attrib" wanted then run_attrib_bench ();
+  let overhead = if runs "overhead" then run_overhead_bench () else [] in
   let total = Unix.gettimeofday () -. t0 in
   write_bench5_json ~path:"BENCH_5.json" ~jobs ~seed ~quick
-    ~total_seconds:total ~queue:queue_rows (List.rev !timings);
+    ~total_seconds:total ~queue ~overhead timings;
   Printf.printf "\ntotal: %.1fs (-j %d; BENCH_5.json written)\n" total jobs
+
+let () =
+  let open Cmdliner in
+  let seed =
+    Arg.(
+      value & opt int 42
+      & info [ "seed" ] ~docv:"SEED" ~doc:"Root RNG seed of every experiment.")
+  in
+  let quick =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:"With no ids: the CI subset (no fig9, fig12 or micro).")
+  in
+  let ids =
+    let all = experiment_ids @ targets in
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun id -> (id, id)) all)) []
+      & info [] ~docv:"ID"
+          ~doc:("Rows to run; none runs everything. One of: "
+               ^ String.concat " " all ^ "."))
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "bench" ~doc:"Regenerate the evaluation and write BENCH_5.json")
+      Term.(const main $ Catalog.jobs $ seed $ quick $ ids)
+  in
+  (* Unknown ids and bad flags exit 2, as vessel-sim's do. *)
+  exit (match Cmd.eval cmd with 124 -> 2 | c -> c)

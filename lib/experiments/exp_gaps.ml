@@ -68,11 +68,9 @@ let measure ~seed ~cores ~cap ~period ~duration (sched, duty) =
   end;
   row
 
-let default_duties = [ 0.1; 0.3; 0.5 ]
-let default_systems = [ Runner.Vessel; Runner.Caladan; Runner.Linux_cfs ]
-
-let run ?(seed = 42) ?(cores = 4) ?(systems = default_systems)
-    ?(duties = default_duties) ?(period = 300_000)
+let run ?(seed = 42) ?(cores = 4)
+    ?(systems = [ Runner.Vessel; Runner.Caladan; Runner.Linux_cfs ])
+    ?(duties = [ 0.1; 0.3; 0.5 ]) ?(period = 300_000)
     ?(duration = 50_000_000) () =
   let cap =
     Runner.l_alone_capacity ~seed ~cores ~sched:Runner.Vessel

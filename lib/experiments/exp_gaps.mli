@@ -26,9 +26,6 @@ type row = {
   fairness : float;
 }
 
-val default_duties : float list
-val default_systems : Runner.sched_kind list
-
 val run :
   ?seed:int ->
   ?cores:int ->

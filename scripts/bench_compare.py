@@ -16,14 +16,13 @@ just-added experiment or queue point) are reported as "(new,
 informational)" and never gate; refresh the baseline to start gating
 them.
 
-With --attrib BENCH_6.json the request-tracing overhead record
-(vessel-bench-6) is also gated: its disabled_overhead_pct — the cost of
-dormant request-mark sites on the dispatch loop — must not exceed
---attrib-max percent (default 2.0). This is an absolute claim, not a
-baseline delta, so no baseline row is needed.
+Every "overhead" row of CURRENT that carries a max_pct is gated on its
+own: its dormant_pct, the cost of dormant guard sites on the dispatch
+loop, must not exceed max_pct. This is an absolute claim, not a
+baseline delta, so no baseline row is needed. Rows without a max_pct
+are reported only.
 
 Usage: bench_compare.py BASELINE CURRENT [--tolerance PCT] [--warn-only]
-                        [--attrib BENCH_6.json] [--attrib-max PCT]
 """
 
 import argparse
@@ -62,17 +61,6 @@ def main():
         "--warn-only",
         action="store_true",
         help="report regressions but always exit 0",
-    )
-    ap.add_argument(
-        "--attrib",
-        metavar="BENCH_6.json",
-        help="also gate the request-tracing overhead record",
-    )
-    ap.add_argument(
-        "--attrib-max",
-        type=float,
-        default=2.0,
-        help="max disabled_overhead_pct allowed in the --attrib record",
     )
     args = ap.parse_args()
 
@@ -171,25 +159,18 @@ def main():
             f"{d:>+7.1f}%{flag}"
         )
 
-    if args.attrib:
-        rec = load(args.attrib, required=not args.warn_only)
-        if rec is not None:
-            ov = rec.get("disabled_overhead_pct")
-            print()
-            if ov is None:
-                print(f"bench_compare: {args.attrib} has no disabled_overhead_pct")
-                regressions.append(f"{args.attrib} missing disabled_overhead_pct")
-            elif ov > args.attrib_max:
-                print(
-                    f"attrib dormant-mark overhead {ov:+.2f}% "
-                    f"(max {args.attrib_max:.1f}%)  <-- REGRESSION"
-                )
-                regressions.append(f"attrib overhead {ov:+.2f}%")
-            else:
-                print(
-                    f"attrib dormant-mark overhead {ov:+.2f}% "
-                    f"(max {args.attrib_max:.1f}%)"
-                )
+    rows = cur.get("overhead", [])
+    if rows:
+        print()
+    for o in rows:
+        line = f"{o['name'] + ' dormant overhead':<28} {o['dormant_pct']:>+7.2f}%"
+        if "max_pct" not in o:
+            print(f"{line}  (not gated)")
+        elif o["dormant_pct"] > o["max_pct"]:
+            print(f"{line}  (max {o['max_pct']:.1f}%)  <-- REGRESSION")
+            regressions.append(f"{o['name']} overhead {o['dormant_pct']:+.2f}%")
+        else:
+            print(f"{line}  (max {o['max_pct']:.1f}%)")
 
     print()
     if new_rows:
@@ -202,7 +183,7 @@ def main():
     if regressions:
         print(
             f"bench_compare: {len(regressions)} regression(s) beyond "
-            f"{args.tolerance:.0f}% tolerance:"
+            f"{args.tolerance:.0f}% tolerance or a row's max_pct:"
         )
         for r in regressions:
             print(f"  - {r}")

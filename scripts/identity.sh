@@ -7,7 +7,8 @@
 # Builds vessel-sim from this checkout and runs a fixed corpus: every
 # experiment at a small fixed configuration, with --trace, --metrics and
 # --attrib files on fig3 and the small fleet and gaps runs, and a
-# `check` sweep over every scenario and fault profile. The corpus runs at
+# `check` sweep over every scenario and fault profile. It exits 1 before
+# any run if the corpus and `vessel-sim list` disagree on the ids. The corpus runs at
 # -j 1 and at -j 4; with BASE, BASE is built from a `git archive` copy in
 # a temporary directory and its corpus runs at -j 1. Each run gets a
 # sha256 manifest of every stdout, exit status and written file. The
@@ -81,6 +82,17 @@ compare() { # label, manifest, manifest
 (cd "$repo" && dune build ./bin/vessel_sim.exe)
 head_bin=$out/vessel_sim.exe
 cp -f "$repo/_build/default/bin/vessel_sim.exe" "$head_bin"
+
+# The corpus covers exactly the ids `vessel-sim list` prints, bar `all`.
+listed=$("$head_bin" list | awk 'NF == 0 { exit } $1 != "all" { print $1 }' | sort)
+named=$(for entry in "${corpus[@]}"; do echo "${entry%%|*}"; done | sort)
+only_listed=$(comm -23 <(echo "$listed") <(echo "$named"))
+only_named=$(comm -13 <(echo "$listed") <(echo "$named"))
+if [ -n "$only_listed$only_named" ]; then
+  for id in $only_listed; do echo "identity: $id is listed but not in the corpus"; done
+  for id in $only_named; do echo "identity: $id is in the corpus but not listed"; done
+  exit 1
+fi
 run_corpus "$head_bin" "$out/head/j1" 1
 run_corpus "$head_bin" "$out/head/j4" 4
 compare "j1-vs-j4" "$out/head/j1.manifest" "$out/head/j4.manifest"
